@@ -63,6 +63,13 @@ makeError(std::string code, std::string path, std::string message,
 }
 
 Diagnostic
+makeError(const ConfigError &e, std::string path)
+{
+    return make(Severity::Error, ruleCodeName(e.code()), std::move(path),
+                e.what(), "");
+}
+
+Diagnostic
 makeWarning(std::string code, std::string path, std::string message,
             std::string hint)
 {

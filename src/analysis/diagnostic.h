@@ -14,9 +14,14 @@
  *   CAMJ-Wxxx  warnings — simulates, but the design is suspicious.
  *   CAMJ-Ixxx  info     — noteworthy but intentional-looking.
  *   CAMJ-Dxxx  dynamic  — failures only the simulator can diagnose
- *                         (pipeline stall, frame budget); the static
- *                         analyzer never emits these, but infeasible
- *                         SimulationOutcomes cross-reference them.
+ *                         (pipeline stall or drain deadlock, frame
+ *                         budget); the static analyzer never emits
+ *                         these, but infeasible SimulationOutcomes
+ *                         carry them. D003 marks a failure with no
+ *                         catalogue code.
+ *
+ * RuleCode (common/logging.h) names every code; fatal(RuleCode, ...)
+ * stamps it on the ConfigError at the throw site.
  */
 
 #ifndef CAMJ_ANALYSIS_DIAGNOSTIC_H
@@ -24,6 +29,8 @@
 
 #include <string>
 #include <vector>
+
+#include "common/logging.h"
 
 namespace camj::analysis
 {
@@ -71,6 +78,9 @@ Diagnostic makeWarning(std::string code, std::string path,
                        std::string message, std::string hint = "");
 Diagnostic makeInfo(std::string code, std::string path,
                     std::string message, std::string hint = "");
+
+/** The error a thrown ConfigError amounts to: its code and text. */
+Diagnostic makeError(const ConfigError &e, std::string path = "");
 
 /** True when any diagnostic in @p diags is an error. */
 bool hasErrors(const std::vector<Diagnostic> &diags);

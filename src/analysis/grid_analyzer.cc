@@ -57,8 +57,7 @@ evalRule(const GridRule &rule, const json::Value &baseDoc,
                 errors.push_back(std::move(d));
         }
     } catch (const ConfigError &e) {
-        errors.push_back(makeError(classifyError(e.what()), "",
-                                   e.what()));
+        errors.push_back(makeError(e));
     }
     return errors;
 }
@@ -299,6 +298,23 @@ GridAnalyzer::analyze(const SweepDocument &doc) const
                     out.doomedValues_[axis].emplace(v,
                                                     std::move(why));
             }
+        }
+    }
+    return out;
+}
+
+std::vector<Diagnostic>
+checkAxisPaths(const SweepDocument &doc)
+{
+    std::vector<Diagnostic> out;
+    const json::Value baseDoc = spec::toJsonValue(doc.base);
+    for (size_t i = 0; i < doc.grid.axes.size(); ++i) {
+        json::Value probe = baseDoc;
+        try {
+            spec::applySpecOverride(probe, doc.grid.axes[i].path, {});
+        } catch (const ConfigError &e) {
+            out.push_back(makeError(
+                e, "sweepGrid.axes[" + std::to_string(i) + "].path"));
         }
     }
     return out;

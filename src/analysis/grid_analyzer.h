@@ -131,6 +131,14 @@ class GridAnalyzer
 };
 
 /**
+ * One CAMJ-E003 error at "sweepGrid.axes[i].path" for every axis
+ * whose path does not resolve against @p doc's base spec (the
+ * sweep itself would refuse to open). Run it before analyze(): a
+ * dangling path is a broken document, not a grid of doomed points.
+ */
+std::vector<Diagnostic> checkAxisPaths(const spec::SweepDocument &doc);
+
+/**
  * An IndexableSpecSource yielding only the points a GridAnalysis
  * could not prove infeasible. Local indices are dense (0..N-1 over
  * survivors); globalIndex() recovers a point's identity in the

@@ -1,6 +1,7 @@
 #include "common/logging.h"
 
 #include <cstdio>
+#include <iterator>
 #include <vector>
 
 namespace camj
@@ -36,6 +37,32 @@ strprintf(const char *fmt, ...)
     return s;
 }
 
+const char *
+ruleCodeName(RuleCode code)
+{
+    static const char *const kNames[] = {
+        "CAMJ-E001", "CAMJ-E002", "CAMJ-E003", "CAMJ-E004", "CAMJ-E005",
+        "CAMJ-E006", "CAMJ-E007", "CAMJ-E008", "CAMJ-E009", "CAMJ-E010",
+        "CAMJ-E011", "CAMJ-E012", "CAMJ-E013", "CAMJ-E014", "CAMJ-E015",
+        "CAMJ-E016", "CAMJ-E017", "CAMJ-E018", "CAMJ-W001", "CAMJ-W002",
+        "CAMJ-W003", "CAMJ-W004", "CAMJ-W005", "CAMJ-W006", "CAMJ-W007",
+        "CAMJ-I001", "CAMJ-I002", "CAMJ-D001", "CAMJ-D002", "CAMJ-D003",
+    };
+    static_assert(std::size(kNames) == kRuleCodeCount);
+    return kNames[static_cast<size_t>(code)];
+}
+
+std::optional<RuleCode>
+ruleCodeFromName(std::string_view name)
+{
+    for (size_t i = 0; i < kRuleCodeCount; ++i) {
+        const auto code = static_cast<RuleCode>(i);
+        if (name == ruleCodeName(code))
+            return code;
+    }
+    return std::nullopt;
+}
+
 void
 fatal(const char *fmt, ...)
 {
@@ -44,6 +71,16 @@ fatal(const char *fmt, ...)
     std::string msg = vstrprintf(fmt, args);
     va_end(args);
     throw ConfigError("fatal: " + msg);
+}
+
+void
+fatal(RuleCode code, const char *fmt, ...)
+{
+    std::va_list args;
+    va_start(args, fmt);
+    std::string msg = vstrprintf(fmt, args);
+    va_end(args);
+    throw ConfigError("fatal: " + msg, code);
 }
 
 void

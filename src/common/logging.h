@@ -10,6 +10,8 @@
  *
  *   - fatal(...)  throws ConfigError  — the design description is
  *     invalid (mismatched signal domains, stalls, cycles in the DAG...).
+ *     fatal(RuleCode::E010, ...) also tags the error with its
+ *     docs/lint_rules.md code, so callers never parse the message.
  *   - panic(...)  throws InternalError — a CamJ bug.
  *   - warn(...) / inform(...) print to stderr/stdout and continue.
  */
@@ -18,18 +20,54 @@
 #define CAMJ_COMMON_LOGGING_H
 
 #include <cstdarg>
+#include <cstddef>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace camj
 {
+
+/**
+ * A rule code of the docs/lint_rules.md catalogue: Exxx errors the
+ * static analyzer also proves, Wxxx/Ixxx analyzer-only findings, and
+ * Dxxx verdicts only simulation reaches. D003 means "no catalogue
+ * code" (an internal, tool or I/O error). Codes are permanent: append
+ * new ones, keeping D003 last.
+ */
+enum class RuleCode : unsigned char
+{
+    E001, E002, E003, E004, E005, E006, E007, E008, E009,
+    E010, E011, E012, E013, E014, E015, E016, E017, E018,
+    W001, W002, W003, W004, W005, W006, W007,
+    I001, I002,
+    D001, D002, D003,
+};
+
+/** Number of RuleCode constants. */
+inline constexpr size_t kRuleCodeCount =
+    static_cast<size_t>(RuleCode::D003) + 1;
+
+/** "CAMJ-E010" for RuleCode::E010. */
+const char *ruleCodeName(RuleCode code);
+
+/** Inverse of ruleCodeName(); nullopt for any other text. */
+std::optional<RuleCode> ruleCodeFromName(std::string_view name);
 
 /** Raised by fatal(): the user-supplied design description is invalid. */
 class ConfigError : public std::runtime_error
 {
   public:
-    explicit ConfigError(const std::string &what)
-        : std::runtime_error(what) {}
+    explicit ConfigError(const std::string &what,
+                         RuleCode code = RuleCode::D003)
+        : std::runtime_error(what), code_(code) {}
+
+    /** The catalogue code the throw site assigned (D003: none). */
+    RuleCode code() const { return code_; }
+
+  private:
+    RuleCode code_;
 };
 
 /** Raised by panic(): an internal CamJ invariant was violated. */
@@ -54,6 +92,10 @@ std::string strprintf(const char *fmt, ...)
  */
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/** fatal() whose ConfigError carries @p code. */
+[[noreturn]] void fatal(RuleCode code, const char *fmt, ...)
+    __attribute__((format(printf, 2, 3)));
 
 /**
  * Report an internal invariant violation. Never returns.

@@ -19,8 +19,8 @@ checkAnalogDomains(const std::vector<const AnalogArray *> &chain)
         SignalDomain out = chain[i]->outputDomain();
         SignalDomain in = chain[i + 1]->inputDomain();
         if (out != in) {
-            fatal("analog chain: '%s' outputs %s but '%s' consumes "
-                  "%s; insert a %s-to-%s conversion component",
+            fatal(RuleCode::E010, "analog chain: '%s' outputs %s but '%s' "
+                  "consumes %s; insert a %s-to-%s conversion component",
                   chain[i]->name().c_str(), signalDomainName(out),
                   chain[i + 1]->name().c_str(), signalDomainName(in),
                   signalDomainName(out), signalDomainName(in));
@@ -50,8 +50,8 @@ checkAnalogThroughput(const std::vector<const AnalogArray *> &chain)
                  cons->name().c_str());
             continue;
         }
-        fatal("analog chain: '%s' produces %s per step but '%s' "
-              "consumes %s; insert an analog buffer between them",
+        fatal(RuleCode::E011, "analog chain: '%s' produces %s per step but "
+              "'%s' consumes %s; insert an analog buffer between them",
               prod->name().c_str(), prod->outputShape().str().c_str(),
               cons->name().c_str(), cons->inputShape().str().c_str());
     }
@@ -64,9 +64,9 @@ checkAdcBoundary(const std::vector<const AnalogArray *> &chain)
         fatal("checkAdcBoundary: empty analog chain");
     const AnalogArray *last = chain.back();
     if (last->outputDomain() != SignalDomain::Digital) {
-        fatal("analog chain: final array '%s' outputs %s; an ADC (or "
-              "comparator) must sit between the analog and digital "
-              "domains", last->name().c_str(),
+        fatal(RuleCode::E010, "analog chain: final array '%s' outputs %s; "
+              "an ADC (or comparator) must sit between the analog and "
+              "digital domains", last->name().c_str(),
               signalDomainName(last->outputDomain()));
     }
 }

@@ -35,9 +35,10 @@ Design::Design(DesignParams params)
     if (params_.name.empty())
         fatal("Design: empty name");
     if (params_.fps <= 0.0)
-        fatal("Design %s: fps must be positive", params_.name.c_str());
+        fatal(RuleCode::E001, "Design %s: fps must be positive",
+              params_.name.c_str());
     if (params_.digitalClock <= 0.0)
-        fatal("Design %s: digital clock must be positive",
+        fatal(RuleCode::E001, "Design %s: digital clock must be positive",
               params_.name.c_str());
 }
 
@@ -46,17 +47,17 @@ Design::checkUniqueHwName(const std::string &name) const
 {
     for (const auto &a : analog_) {
         if (a.array.name() == name)
-            fatal("Design %s: duplicate hardware name '%s'",
+            fatal(RuleCode::E002, "Design %s: duplicate hardware name '%s'",
                   params_.name.c_str(), name.c_str());
     }
     for (const auto &m : mems_) {
         if (m.name() == name)
-            fatal("Design %s: duplicate hardware name '%s'",
+            fatal(RuleCode::E002, "Design %s: duplicate hardware name '%s'",
                   params_.name.c_str(), name.c_str());
     }
     for (const auto &u : units_) {
         if (u.name() == name)
-            fatal("Design %s: duplicate hardware name '%s'",
+            fatal(RuleCode::E002, "Design %s: duplicate hardware name '%s'",
                   params_.name.c_str(), name.c_str());
     }
 }
@@ -117,8 +118,9 @@ Design::findMemory(const std::string &name, const char *who) const
         if (mems_[i].name() == name)
             return static_cast<int>(i);
     }
-    fatal("Design %s: %s: no memory named '%s' (registered memories: "
-          "%s)", params_.name.c_str(), who, name.c_str(),
+    fatal(RuleCode::E003, "Design %s: %s: no memory named '%s' "
+          "(registered memories: %s)", params_.name.c_str(), who,
+          name.c_str(),
           registeredNames(mems_, [](const DigitalMemory &m) {
               return m.name();
           }).c_str());
@@ -131,8 +133,9 @@ Design::findUnit(const std::string &name, const char *who) const
         if (units_[i].name() == name)
             return static_cast<int>(i);
     }
-    fatal("Design %s: %s: no compute unit named '%s' (registered "
-          "units: %s)", params_.name.c_str(), who, name.c_str(),
+    fatal(RuleCode::E003, "Design %s: %s: no compute unit named '%s' "
+          "(registered units: %s)", params_.name.c_str(), who,
+          name.c_str(),
           registeredNames(units_, [](const UnitEntry &u) {
               return u.name();
           }).c_str());
@@ -224,7 +227,8 @@ void
 Design::setFps(double fps)
 {
     if (fps <= 0.0)
-        fatal("Design %s: fps must be positive", params_.name.c_str());
+        fatal(RuleCode::E001, "Design %s: fps must be positive",
+              params_.name.c_str());
     params_.fps = fps;
 }
 
@@ -232,7 +236,7 @@ void
 Design::setDigitalClock(Frequency clock)
 {
     if (clock <= 0.0)
-        fatal("Design %s: digital clock must be positive",
+        fatal(RuleCode::E001, "Design %s: digital clock must be positive",
               params_.name.c_str());
     params_.digitalClock = clock;
 }

@@ -65,8 +65,8 @@ EvalPipeline::runMap(const Design &d)
     // DAG well-formedness and mapping completeness.
     d.sw_.validate();
     if (d.analog_.empty())
-        fatal("Design %s: no analog arrays (a CIS starts with a pixel "
-              "array)", d.params_.name.c_str());
+        fatal(RuleCode::E009, "Design %s: no analog arrays (a CIS starts "
+              "with a pixel array)", d.params_.name.c_str());
 
     topo_ = d.sw_.topoOrder();
     topoPos_.assign(static_cast<size_t>(d.sw_.size()), 0);
@@ -81,8 +81,8 @@ EvalPipeline::runMap(const Design &d)
     for (StageId id = 0; id < d.sw_.size(); ++id) {
         const Stage &s = d.sw_.stage(id);
         if (!d.mapping_.isMapped(s.name()))
-            fatal("Design %s: stage '%s' is not mapped to hardware",
-                  d.params_.name.c_str(), s.name().c_str());
+            fatal(RuleCode::E008, "Design %s: stage '%s' is not mapped "
+                  "to hardware", d.params_.name.c_str(), s.name().c_str());
         const std::string &hw = d.mapping_.hwUnitOf(s.name());
 
         int ai = d.findAnalog(hw);
@@ -94,8 +94,8 @@ EvalPipeline::runMap(const Design &d)
         for (size_t m = 0; m < d.mems_.size(); ++m) {
             if (d.mems_[m].name() == hw) {
                 if (s.op() != StageOp::Input)
-                    fatal("Design %s: only Input stages may map onto a "
-                          "memory ('%s' -> '%s')",
+                    fatal(RuleCode::E008, "Design %s: only Input stages may "
+                          "map onto a memory ('%s' -> '%s')",
                           d.params_.name.c_str(), s.name().c_str(),
                           hw.c_str());
                 // Residency of a retained frame: reads always succeed.
@@ -147,9 +147,9 @@ EvalPipeline::runAnalog(const Design &d)
             volumeBits_ = last.bitDepth();
         } else {
             if (volume_ == 0)
-                fatal("Design %s: analog array '%s' precedes any mapped "
-                      "stage; map the Input stage to the pixel array",
-                      d.params_.name.c_str(),
+                fatal(RuleCode::E008, "Design %s: analog array '%s' "
+                      "precedes any mapped stage; map the Input stage to "
+                      "the pixel array", d.params_.name.c_str(),
                       d.analog_[i].array.name().c_str());
             analogOps_[i] = volume_; // pass-through (e.g. ADC)
         }
@@ -198,14 +198,14 @@ EvalPipeline::runDigital(const Design &d)
             continue;
         }
         if (ue.inputMems.empty())
-            fatal("Design %s: unit '%s' has no input memory",
+            fatal(RuleCode::E012, "Design %s: unit '%s' has no input memory",
                   d.params_.name.c_str(), ue.name().c_str());
 
         if (std::holds_alternative<SystolicArray>(ue.unit)) {
             const auto &sa = std::get<SystolicArray>(ue.unit);
             if (ue.inputMems.size() != 1)
-                fatal("Design %s: systolic array '%s' needs exactly one "
-                      "input buffer", d.params_.name.c_str(),
+                fatal(RuleCode::E012, "Design %s: systolic array '%s' needs "
+                      "exactly one input buffer", d.params_.name.c_str(),
                       ue.name().c_str());
             for (StageId id : unitStages_[u]) {
                 const Stage &s = d.sw_.stage(id);
@@ -261,8 +261,8 @@ EvalPipeline::runDigital(const Design &d)
 
     // ADC output into the digital pipeline.
     if (!d.units_.empty() && d.adcOutputMem_ < 0)
-        fatal("Design %s: digital units exist but setAdcOutput() was "
-              "not called", d.params_.name.c_str());
+        fatal(RuleCode::E012, "Design %s: digital units exist but "
+              "setAdcOutput() was not called", d.params_.name.c_str());
     if (d.adcOutputMem_ >= 0) {
         const size_t m = static_cast<size_t>(d.adcOutputMem_);
         memWriteWords_[m] += elemsToWords(volume_, volumeBits_,
@@ -402,10 +402,10 @@ EvalPipeline::runTiming(const Design &d)
         CycleSimResult rb = sim_.run();
         statsB_ = rb.stats;
         if (rb.sourceBlocked) {
-            fatal("Design %s: pipeline stall — the ADC output memory "
-                  "fills up at the required frame rate (%lld blocked "
-                  "cycles); enlarge the buffer or speed up the "
-                  "consumer", d.params_.name.c_str(),
+            fatal(RuleCode::D001, "Design %s: pipeline stall — the ADC "
+                  "output memory fills up at the required frame rate "
+                  "(%lld blocked cycles); enlarge the buffer or speed "
+                  "up the consumer", d.params_.name.c_str(),
                   static_cast<long long>(rb.sourceBlockedCycles));
         }
     }
@@ -502,20 +502,18 @@ EvalPipeline::runEnergy(const Design &d)
 
     if (mipi_bytes > 0) {
         if (!d.mipi_)
-            fatal("Design %s: %lld B cross the package boundary but no "
-                  "MIPI interface is configured",
-                  d.params_.name.c_str(),
-                  static_cast<long long>(mipi_bytes));
+            fatal(RuleCode::E016, "Design %s: %lld B cross the package "
+                  "boundary but no MIPI interface is configured",
+                  d.params_.name.c_str(), static_cast<long long>(mipi_bytes));
         rep.units.push_back({d.mipi_->name(), EnergyCategory::Mipi,
                              Layer::Sensor,
                              d.mipi_->energyForBytes(mipi_bytes)});
     }
     if (tsv_bytes > 0) {
         if (!d.tsv_)
-            fatal("Design %s: %lld B cross between stacked layers but "
-                  "no uTSV interface is configured",
-                  d.params_.name.c_str(),
-                  static_cast<long long>(tsv_bytes));
+            fatal(RuleCode::E016, "Design %s: %lld B cross between stacked "
+                  "layers but no uTSV interface is configured",
+                  d.params_.name.c_str(), static_cast<long long>(tsv_bytes));
         rep.units.push_back({d.tsv_->name(), EnergyCategory::Tsv,
                              Layer::Sensor,
                              d.tsv_->energyForBytes(tsv_bytes)});

@@ -436,8 +436,8 @@ CycleSim::runTickLoop(int64_t max_cycles)
         const std::string state = drainDiagnostics(
             sources_, units_, mems_, sourceRemaining, firesDone,
             occupancy, arrived, oldest);
-        fatal("CycleSim: pipeline did not drain within %lld cycles "
-              "(deadlock or unsatisfiable configuration):%s",
+        fatal(RuleCode::D001, "CycleSim: pipeline did not drain within %lld "
+              "cycles (deadlock or unsatisfiable configuration):%s",
               static_cast<long long>(max_cycles), state.c_str());
     }
 
@@ -1383,8 +1383,8 @@ CycleSim::runFastForward(int64_t max_cycles)
         const std::string state = drainDiagnostics(
             sources_, units_, mems_, sourceRemaining, firesDone,
             occupancy, arrived, oldest);
-        fatal("CycleSim: pipeline did not drain within %lld cycles "
-              "(deadlock or unsatisfiable configuration):%s",
+        fatal(RuleCode::D001, "CycleSim: pipeline did not drain within %lld "
+              "cycles (deadlock or unsatisfiable configuration):%s",
               static_cast<long long>(max_cycles), state.c_str());
     }
 

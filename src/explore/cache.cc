@@ -24,8 +24,9 @@ namespace fs = std::filesystem;
  *  land in differently-named files (the format seeds the content
  *  hash) or read as spec mismatches — either way they degrade to
  *  rebuilds. Format 2 embeds the spec DOCUMENT instead of a
- *  serialized key string. */
-constexpr int kOutcomeStoreFormat = 2;
+ *  serialized key string; format 3 adds an infeasible record's rule
+ *  code. */
+constexpr int kOutcomeStoreFormat = 3;
 
 /** The evaluator can patch these onto a cached Design without
  *  re-materializing; the structural signature masks them out. */
@@ -301,10 +302,17 @@ OutcomeStore::load(const json::Value &spec_doc)
                   path.c_str());
         StoredOutcome rec;
         rec.feasible = doc.at("feasible").asBool();
-        if (rec.feasible)
+        if (rec.feasible) {
             rec.report = reportFromJson(doc.at("report"));
-        else
+        } else {
             rec.error = doc.at("error").asString();
+            const std::optional<RuleCode> code =
+                ruleCodeFromName(doc.at("ruleCode").asString());
+            if (!code)
+                fatal("OutcomeStore: unknown rule code in %s",
+                      path.c_str());
+            rec.ruleCode = *code;
+        }
         ++stats_.hits;
         return rec;
     } catch (const ConfigError &) {
@@ -319,14 +327,16 @@ OutcomeStore::store(const json::Value &spec_doc,
                     const StoredOutcome &outcome)
 {
     json::Value doc = json::Value::makeObject();
-    doc.reserve(4);
+    doc.reserve(5);
     doc.set("format", json::Value(static_cast<double>(kOutcomeStoreFormat)));
     doc.set("spec", spec_doc);
     doc.set("feasible", json::Value(outcome.feasible));
-    if (outcome.feasible)
+    if (outcome.feasible) {
         doc.set("report", reportToJson(outcome.report));
-    else
+    } else {
         doc.set("error", json::Value(outcome.error));
+        doc.set("ruleCode", json::Value(ruleCodeName(outcome.ruleCode)));
+    }
 
     const std::string path = pathForDoc(spec_doc);
     std::ostringstream temp_name;

@@ -34,6 +34,7 @@
 #include <optional>
 #include <string>
 
+#include "common/logging.h"
 #include "core/report.h"
 #include "spec/json.h"
 
@@ -162,14 +163,16 @@ class CompiledDesignLru
 };
 
 /** One persisted outcome: the verdict plus either the per-frame
- *  report (feasible) or the failure text (infeasible). Everything
- *  else in a SimulationOutcome (frames, SNR penalty, rule code) is
+ *  report (feasible) or the failure text and rule code (infeasible).
+ *  Everything else in a SimulationOutcome (frames, SNR penalty) is
  *  derived from these and the SimulationOptions at load time. */
 struct StoredOutcome
 {
     bool feasible = false;
     /** ConfigError text for infeasible points; empty otherwise. */
     std::string error;
+    /** ConfigError code for infeasible points. */
+    RuleCode ruleCode = RuleCode::D003;
     /** Per-frame report; valid when feasible. */
     EnergyReport report;
 };

@@ -232,24 +232,21 @@ IncrementalEvaluator::reset()
     carriedPaths_.clear();
 }
 
-SimulationOutcome
-IncrementalEvaluator::failed(const std::string &what)
-{
-    return failureOutcome(options_, what);
-}
-
 void
-IncrementalEvaluator::persist(const json::Value &doc, bool feasible,
-                              const std::string &error,
+IncrementalEvaluator::persist(const json::Value &doc,
+                              const ConfigError *failure,
                               const EnergyReport &report)
 {
     if (!store_)
         return;
     StoredOutcome record;
-    record.feasible = feasible;
-    record.error = error;
-    if (feasible)
+    record.feasible = failure == nullptr;
+    if (failure != nullptr) {
+        record.error = failure->what();
+        record.ruleCode = failure->code();
+    } else {
         record.report = report;
+    }
     store_->store(doc, record);
 }
 
@@ -258,9 +255,10 @@ IncrementalEvaluator::restoredOutcome(StoredOutcome record)
 {
     if (record.feasible)
         return finishOutcome(options_, std::move(record.report));
+    const ConfigError failure(record.error, record.ruleCode);
     if (options_.checkMode == CheckMode::Strict)
-        throw ConfigError(record.error);
-    return failed(record.error);
+        throw failure;
+    return failureOutcome(options_, failure);
 }
 
 void
@@ -307,7 +305,7 @@ IncrementalEvaluator::fullBuild(const spec::DesignSpec &spec,
         stats_.stagesRun += static_cast<size_t>(pipeline.stagesEntered());
         SimulationOutcome out = finishOutcome(options_, report);
         out.simStats = pipeline.simStats();
-        persist(doc, true, {}, report);
+        persist(doc, nullptr, report);
         hintBaseId_ = lru_.insert(
             structural_hash,
             CompiledDesign{std::move(doc), std::move(design),
@@ -320,10 +318,10 @@ IncrementalEvaluator::fullBuild(const spec::DesignSpec &spec,
         if (pipeline_ran)
             stats_.stagesRun +=
                 static_cast<size_t>(pipeline.stagesEntered());
-        persist(doc, false, e.what(), {});
+        persist(doc, &e, {});
         if (options_.checkMode == CheckMode::Strict)
             throw;
-        return failed(e.what());
+        return failureOutcome(options_, e);
     }
 }
 
@@ -368,7 +366,7 @@ IncrementalEvaluator::incrementalRun(const spec::DesignSpec &spec,
             ++stats_.equalityCutoffs;
         SimulationOutcome out = finishOutcome(options_, report);
         out.simStats = pipeline.simStats();
-        persist(doc, true, {}, report);
+        persist(doc, nullptr, report);
         hintBaseId_ = lru_.insert(
             structural_hash,
             CompiledDesign{std::move(doc), std::move(*design),
@@ -382,10 +380,10 @@ IncrementalEvaluator::incrementalRun(const spec::DesignSpec &spec,
             stats_.stagesRun +=
                 static_cast<size_t>(pipeline.stagesEntered());
         stats_.stagesSkipped += first;
-        persist(doc, false, e.what(), {});
+        persist(doc, &e, {});
         if (options_.checkMode == CheckMode::Strict)
             throw;
-        return failed(e.what());
+        return failureOutcome(options_, e);
     }
 }
 

@@ -279,10 +279,9 @@ class IncrementalEvaluator
     void noteUncompiledPoint(
         const std::vector<std::string> *changed_paths);
     /** Persist the outcome for @p doc to the on-disk store, if one
-     *  is configured. */
-    void persist(const json::Value &doc, bool feasible,
-                 const std::string &error, const EnergyReport &report);
-    SimulationOutcome failed(const std::string &what);
+     *  is configured: @p failure, or @p report when it is null. */
+    void persist(const json::Value &doc, const ConfigError *failure,
+                 const EnergyReport &report);
 };
 
 } // namespace camj

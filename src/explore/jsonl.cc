@@ -62,8 +62,8 @@ JsonlReader::next()
         try {
             return parseJsonlLine(line);
         } catch (const ConfigError &e) {
-            fatal("jsonl: %s:%zu: %s", path_.c_str(), lineNo_,
-                  e.what());
+            fatal(e.code(), "jsonl: %s:%zu: %s", path_.c_str(),
+                  lineNo_, e.what());
         }
     }
     return std::nullopt;

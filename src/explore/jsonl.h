@@ -39,7 +39,7 @@ struct JsonlRecord
     bool feasible = false;
     /** Failure text for infeasible points. */
     std::string error;
-    /** Lint-rule code classifying the failure (docs/lint_rules.md);
+    /** Rule code the failure was thrown with (docs/lint_rules.md);
      *  empty when feasible or written by an older tool. */
     std::string ruleCode;
     /** Energy over all simulated frames [J]; 0 when infeasible. */

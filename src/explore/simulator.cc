@@ -1,6 +1,5 @@
 #include "explore/simulator.h"
 
-#include "analysis/analyzer.h"
 #include "common/logging.h"
 
 namespace camj
@@ -41,26 +40,14 @@ finishOutcome(const SimulationOptions &options, EnergyReport report)
 }
 
 SimulationOutcome
-failureOutcome(const SimulationOptions &options, std::string what)
+failureOutcome(const SimulationOptions &options, const ConfigError &e)
 {
     SimulationOutcome out;
     out.feasible = false;
     out.frames = options.frames;
-    out.error = std::move(what);
-    out.ruleCode = analysis::classifyError(out.error);
+    out.error = e.what();
+    out.ruleCode = ruleCodeName(e.code());
     return out;
-}
-
-SimulationOutcome
-Simulator::finish(EnergyReport report) const
-{
-    return finishOutcome(options_, std::move(report));
-}
-
-SimulationOutcome
-Simulator::failure(const std::string &what) const
-{
-    return failureOutcome(options_, what);
 }
 
 SimulationOutcome
@@ -70,17 +57,15 @@ Simulator::run(const Design &design) const
     // abandons the pipeline mid-run, so there is nothing coherent to
     // report for infeasible points.
     CycleSimStats stats;
-    if (options_.checkMode == CheckMode::Strict) {
-        SimulationOutcome out = finish(design.simulate(&stats));
-        out.simStats = stats;
-        return out;
-    }
     try {
-        SimulationOutcome out = finish(design.simulate(&stats));
+        SimulationOutcome out =
+            finishOutcome(options_, design.simulate(&stats));
         out.simStats = stats;
         return out;
     } catch (const ConfigError &e) {
-        return failure(e.what());
+        if (options_.checkMode == CheckMode::Strict)
+            throw;
+        return failureOutcome(options_, e);
     }
 }
 
@@ -89,19 +74,15 @@ Simulator::run(const spec::DesignSpec &spec,
                spec::MaterializeCache *cache) const
 {
     CycleSimStats stats;
-    if (options_.checkMode == CheckMode::Strict) {
-        SimulationOutcome out =
-            finish(spec.materialize(cache).simulate(&stats));
-        out.simStats = stats;
-        return out;
-    }
     try {
-        SimulationOutcome out =
-            finish(spec.materialize(cache).simulate(&stats));
+        SimulationOutcome out = finishOutcome(
+            options_, spec.materialize(cache).simulate(&stats));
         out.simStats = stats;
         return out;
     } catch (const ConfigError &e) {
-        return failure(e.what());
+        if (options_.checkMode == CheckMode::Strict)
+            throw;
+        return failureOutcome(options_, e);
     }
 }
 

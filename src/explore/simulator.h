@@ -16,6 +16,7 @@
 
 #include <string>
 
+#include "common/logging.h"
 #include "core/design.h"
 #include "digital/cyclesim.h"
 #include "noise/noise.h"
@@ -56,11 +57,11 @@ struct SimulationOutcome
     /** ConfigError text when infeasible. */
     std::string error;
     /**
-     * Lint-rule code matching the failure ("CAMJ-E010", ...; see
+     * Rule code the failing check threw with ("CAMJ-E010", ...; see
      * docs/lint_rules.md), so dynamic verdicts cross-reference the
      * static analyzer's catalogue. "CAMJ-D001/D002" mark the
-     * genuinely dynamic failures, "CAMJ-D003" unclassified text;
-     * empty when feasible.
+     * genuinely dynamic failures, "CAMJ-D003" a failure with no
+     * catalogue code; empty when feasible.
      */
     std::string ruleCode;
     /** Valid when feasible; per-frame quantities. */
@@ -93,7 +94,7 @@ SimulationOutcome finishOutcome(const SimulationOptions &options,
 
 /** Assemble the infeasible outcome for a failed check. */
 SimulationOutcome failureOutcome(const SimulationOptions &options,
-                                 std::string what);
+                                 const ConfigError &e);
 
 /** Stateless design-point evaluator. */
 class Simulator
@@ -127,9 +128,6 @@ class Simulator
 
   private:
     SimulationOptions options_;
-
-    SimulationOutcome finish(EnergyReport report) const;
-    SimulationOutcome failure(const std::string &what) const;
 };
 
 } // namespace camj

@@ -29,7 +29,7 @@ struct SweepResult
     bool feasible = false;
     /** Failure text for infeasible points. */
     std::string error;
-    /** Lint-rule code classifying the failure (docs/lint_rules.md);
+    /** Rule code the failure was thrown with (docs/lint_rules.md);
      *  empty when feasible. */
     std::string ruleCode;
     /** Per-frame report; valid when feasible. */

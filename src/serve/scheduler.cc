@@ -230,14 +230,13 @@ Scheduler::submit(const std::string &doc_text, int frames,
 
     // Admission lint, stage 1: the raw document through the full
     // static-analysis rule set (a parse failure becomes one
-    // classified diagnostic).
+    // diagnostic carrying its thrown code).
     json::Value raw;
     try {
         raw = json::Value::parse(doc_text);
     } catch (const ConfigError &e) {
         adm.reason = "document does not parse";
-        adm.diagnostics.push_back(analysis::makeError(
-            analysis::classifyError(e.what()), "", e.what()));
+        adm.diagnostics.push_back(analysis::makeError(e));
         return adm;
     }
     analysis::SpecAnalyzer analyzer;
@@ -259,8 +258,7 @@ Scheduler::submit(const std::string &doc_text, int frames,
         adm.pruned = prefilter.prunedIndices().size();
     } catch (const ConfigError &e) {
         adm.reason = "invalid sweep document";
-        adm.diagnostics.push_back(analysis::makeError(
-            analysis::classifyError(e.what()), "", e.what()));
+        adm.diagnostics.push_back(analysis::makeError(e));
         return adm;
     }
 

@@ -5,12 +5,12 @@
  *
  * Admission runs the full static-analysis stack BEFORE any worker
  * spins up — SpecAnalyzer::analyzeDocument over the raw JSON (a parse
- * failure becomes one classified diagnostic), then grid expansion,
- * then the PrefilterSpecSource infeasibility analysis. Documents with
- * error diagnostics are rejected with their CAMJ-* codes; provably
- * infeasible points are REPORTED but still evaluated, because pruning
- * would change the output bytes and the service's contract is
- * byte-identity with a local `camj_sweep run`.
+ * failure becomes one diagnostic with its thrown code), then grid
+ * expansion, then the PrefilterSpecSource infeasibility analysis.
+ * Documents with error diagnostics are rejected with their CAMJ-*
+ * codes; provably infeasible points are REPORTED but still evaluated,
+ * because pruning would change the output bytes and the service's
+ * contract is byte-identity with a local `camj_sweep run`.
  *
  * Each admitted job gets its own thread running the dispatch/monitor
  * loop: planShards partitions the grid, every shard runs as either an

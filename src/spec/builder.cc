@@ -8,7 +8,7 @@ namespace camj::spec
 DesignBuilder::DesignBuilder(std::string design_name)
 {
     if (design_name.empty())
-        fatal("DesignBuilder: empty design name");
+        fatal(RuleCode::E001, "DesignBuilder: empty design name");
     spec_.name = std::move(design_name);
 }
 
@@ -22,7 +22,7 @@ DesignBuilder &
 DesignBuilder::fps(double value)
 {
     if (value <= 0.0)
-        fatal("DesignBuilder %s: fps must be positive",
+        fatal(RuleCode::E001, "DesignBuilder %s: fps must be positive",
               spec_.name.c_str());
     spec_.fps = value;
     return *this;
@@ -32,8 +32,8 @@ DesignBuilder &
 DesignBuilder::digitalClock(Frequency hz)
 {
     if (hz <= 0.0)
-        fatal("DesignBuilder %s: digital clock must be positive",
-              spec_.name.c_str());
+        fatal(RuleCode::E001, "DesignBuilder %s: digital clock "
+              "must be positive", spec_.name.c_str());
     spec_.digitalClock = hz;
     return *this;
 }
@@ -91,8 +91,8 @@ DesignBuilder::checkNewHardwareName(const std::string &name) const
         fatal("DesignBuilder %s: empty hardware name",
               spec_.name.c_str());
     if (hasHardware(name))
-        fatal("DesignBuilder %s: duplicate hardware name '%s'",
-              spec_.name.c_str(), name.c_str());
+        fatal(RuleCode::E002, "DesignBuilder %s: duplicate "
+              "hardware name '%s'", spec_.name.c_str(), name.c_str());
 }
 
 void
@@ -104,8 +104,8 @@ DesignBuilder::checkMemoryRefs(const std::vector<std::string> &mems,
             std::vector<std::string> known;
             for (const MemorySpec &mem : spec_.memories)
                 known.push_back(mem.name);
-            fatal("DesignBuilder %s: %s references unknown memory "
-                  "'%s' (registered memories: %s)", spec_.name.c_str(),
+            fatal(RuleCode::E003, "DesignBuilder %s: %s references unknown "
+                  "memory '%s' (registered memories: %s)", spec_.name.c_str(),
                   who.c_str(), m.c_str(), joinNames(known).c_str());
         }
     }
@@ -126,17 +126,17 @@ DesignBuilder::stage(StageParams params, std::vector<std::string> inputs)
     // Constructing a Stage runs the full shape/stencil validation now.
     Stage probe(params);
     if (hasStage(params.name))
-        fatal("DesignBuilder %s: duplicate stage '%s'",
+        fatal(RuleCode::E002, "DesignBuilder %s: duplicate stage '%s'",
               spec_.name.c_str(), params.name.c_str());
     const int arity = stageOpArity(params.op);
     if (static_cast<int>(inputs.size()) != arity)
-        fatal("DesignBuilder %s: stage '%s' (%s) needs %d input(s), "
-              "got %zu", spec_.name.c_str(), params.name.c_str(),
+        fatal(RuleCode::E004, "DesignBuilder %s: stage '%s' (%s) needs %d "
+              "input(s), got %zu", spec_.name.c_str(), params.name.c_str(),
               stageOpName(params.op), arity, inputs.size());
     for (const std::string &in : inputs) {
         if (!hasStage(in))
-            fatal("DesignBuilder %s: stage '%s' reads unknown stage "
-                  "'%s' (stages are declared producer-first)",
+            fatal(RuleCode::E003, "DesignBuilder %s: stage '%s' reads "
+                  "unknown stage '%s' (stages are declared producer-first)",
                   spec_.name.c_str(), params.name.c_str(), in.c_str());
     }
     spec_.stages.push_back({std::move(params), std::move(inputs)});
@@ -326,8 +326,8 @@ DesignBuilder::map(const std::string &stage_name,
                    const std::string &hw_name)
 {
     if (!hasStage(stage_name))
-        fatal("DesignBuilder %s: map('%s', '%s') references unknown "
-              "stage '%s'", spec_.name.c_str(), stage_name.c_str(),
+        fatal(RuleCode::E003, "DesignBuilder %s: map('%s', '%s') references "
+              "unknown stage '%s'", spec_.name.c_str(), stage_name.c_str(),
               hw_name.c_str(), stage_name.c_str());
     if (!hasHardware(hw_name)) {
         std::vector<std::string> known;
@@ -337,8 +337,8 @@ DesignBuilder::map(const std::string &stage_name,
             known.push_back(m.name);
         for (const UnitSpec &u : spec_.units)
             known.push_back(u.name());
-        fatal("DesignBuilder %s: map('%s', '%s') targets unknown "
-              "hardware '%s' (registered hardware: %s)",
+        fatal(RuleCode::E003, "DesignBuilder %s: map('%s', '%s') targets "
+              "unknown hardware '%s' (registered hardware: %s)",
               spec_.name.c_str(), stage_name.c_str(), hw_name.c_str(),
               hw_name.c_str(), joinNames(known).c_str());
     }

@@ -289,7 +289,7 @@ loadShardFile(const std::string &path)
     try {
         return shardDescriptorFromJson(text);
     } catch (const ConfigError &e) {
-        fatal("shard: %s: %s", path.c_str(), e.what());
+        fatal(e.code(), "shard: %s: %s", path.c_str(), e.what());
     }
 }
 

@@ -149,8 +149,8 @@ enumFromToken(const std::string &token, const std::vector<Enum> &all,
     std::string known;
     for (Enum e : all)
         known += (known.empty() ? "" : ", ") + std::string(name(e));
-    fatal("spec: unknown %s '%s' (known: %s)", what, token.c_str(),
-          known.c_str());
+    fatal(RuleCode::E018, "spec: unknown %s '%s' (known: %s)", what,
+          token.c_str(), known.c_str());
 }
 
 const std::vector<StageOp> &
@@ -225,8 +225,8 @@ shapeFromJson(const Value &v)
 {
     const auto &arr = v.asArray();
     if (arr.empty() || arr.size() > 3)
-        fatal("spec: a shape is a 1-3 element array, got %zu elements",
-              arr.size());
+        fatal(RuleCode::E018, "spec: a shape is a 1-3 element array, "
+              "got %zu elements", arr.size());
     Shape s;
     s.width = arr[0].asInt();
     s.height = arr.size() > 1 ? arr[1].asInt() : 1;
@@ -565,35 +565,36 @@ void
 DesignSpec::validate() const
 {
     if (name.empty())
-        fatal("DesignSpec: empty design name");
+        fatal(RuleCode::E001, "DesignSpec: empty design name");
     if (fps <= 0.0)
-        fatal("DesignSpec %s: fps must be positive", name.c_str());
+        fatal(RuleCode::E001, "DesignSpec %s: fps must be positive",
+              name.c_str());
     if (digitalClock <= 0.0)
-        fatal("DesignSpec %s: digital clock must be positive",
+        fatal(RuleCode::E001, "DesignSpec %s: digital clock must be positive",
               name.c_str());
 
     // Stage names unique; producers resolve; arity matches.
     std::set<std::string> stageNames;
     for (const StageSpec &s : stages) {
         if (s.params.name.empty())
-            fatal("DesignSpec %s: a stage has an empty name",
+            fatal(RuleCode::E002, "DesignSpec %s: a stage has an empty name",
                   name.c_str());
         if (!stageNames.insert(s.params.name).second)
-            fatal("DesignSpec %s: duplicate stage '%s'", name.c_str(),
-                  s.params.name.c_str());
+            fatal(RuleCode::E002, "DesignSpec %s: duplicate stage '%s'",
+                  name.c_str(), s.params.name.c_str());
     }
     for (const StageSpec &s : stages) {
         const int arity = stageOpArity(s.params.op);
         if (static_cast<int>(s.inputs.size()) != arity)
-            fatal("DesignSpec %s: stage '%s' (%s) needs %d input(s), "
-                  "spec lists %zu", name.c_str(),
-                  s.params.name.c_str(), stageOpName(s.params.op),
-                  arity, s.inputs.size());
+            fatal(RuleCode::E004, "DesignSpec %s: stage '%s' (%s) needs %d "
+                  "input(s), spec lists %zu", name.c_str(),
+                  s.params.name.c_str(), stageOpName(s.params.op), arity,
+                  s.inputs.size());
         for (const std::string &in : s.inputs) {
             if (!stageNames.count(in))
-                fatal("DesignSpec %s: stage '%s' reads unknown stage "
-                      "'%s'", name.c_str(), s.params.name.c_str(),
-                      in.c_str());
+                fatal(RuleCode::E003, "DesignSpec %s: stage '%s' reads "
+                      "unknown stage '%s'", name.c_str(),
+                      s.params.name.c_str(), in.c_str());
         }
     }
 
@@ -601,11 +602,11 @@ DesignSpec::validate() const
     std::set<std::string> hwNames;
     auto addHw = [&](const std::string &hw, const char *what) {
         if (hw.empty())
-            fatal("DesignSpec %s: a %s has an empty name",
+            fatal(RuleCode::E002, "DesignSpec %s: a %s has an empty name",
                   name.c_str(), what);
         if (!hwNames.insert(hw).second)
-            fatal("DesignSpec %s: duplicate hardware name '%s'",
-                  name.c_str(), hw.c_str());
+            fatal(RuleCode::E002, "DesignSpec %s: duplicate "
+                  "hardware name '%s'", name.c_str(), hw.c_str());
     };
     std::set<std::string> memNames;
     for (const AnalogArraySpec &a : analogArrays)
@@ -622,9 +623,9 @@ DesignSpec::validate() const
     // can be fixed without reading the materializer.
     auto needMem = [&](const std::string &mem, const std::string &field) {
         if (!memNames.count(mem)) {
-            fatal("DesignSpec %s: field '%s' references unknown memory "
-                  "'%s' (registered memories: %s)", name.c_str(),
-                  field.c_str(), mem.c_str(),
+            fatal(RuleCode::E003, "DesignSpec %s: field '%s' references "
+                  "unknown memory '%s' (registered memories: %s)",
+                  name.c_str(), field.c_str(), mem.c_str(),
                   joinNames({memNames.begin(), memNames.end()})
                       .c_str());
         }
@@ -646,17 +647,17 @@ DesignSpec::validate() const
     std::set<std::string> mapped;
     for (const auto &[stage, hw] : mapping) {
         if (!stageNames.count(stage))
-            fatal("DesignSpec %s: field 'mapping' references unknown "
-                  "stage '%s'", name.c_str(), stage.c_str());
+            fatal(RuleCode::E003, "DesignSpec %s: field 'mapping' references "
+                  "unknown stage '%s'", name.c_str(), stage.c_str());
         if (!hwNames.count(hw)) {
-            fatal("DesignSpec %s: field 'mapping[\"%s\"]' targets "
-                  "unknown hardware '%s' (registered hardware: %s)",
+            fatal(RuleCode::E003, "DesignSpec %s: field 'mapping[\"%s\"]' "
+                  "targets unknown hardware '%s' (registered hardware: %s)",
                   name.c_str(), stage.c_str(), hw.c_str(),
                   joinNames({hwNames.begin(), hwNames.end()}).c_str());
         }
         if (!mapped.insert(stage).second)
-            fatal("DesignSpec %s: field 'mapping' lists stage '%s' "
-                  "twice", name.c_str(), stage.c_str());
+            fatal(RuleCode::E008, "DesignSpec %s: field 'mapping' lists "
+                  "stage '%s' twice", name.c_str(), stage.c_str());
     }
 }
 
@@ -1122,8 +1123,8 @@ unitFromJson(const Value &o)
         p.peArea = o.getNumber("peArea", 0.0);
         u.systolic = std::move(p);
     } else {
-        fatal("spec: unknown unit kind '%s' (known: pipeline, "
-              "systolic)", kind.c_str());
+        fatal(RuleCode::E018, "spec: unknown unit kind '%s' (known: "
+              "pipeline, systolic)", kind.c_str());
     }
     if (const Value *v = o.find("inputMemories")) {
         for (const Value &m : v->asArray())
@@ -1211,8 +1212,8 @@ fromJsonValue(const Value &o)
 {
     const int64_t version = o.getInt("camjSpecVersion", 1);
     if (version != 1)
-        fatal("spec: unsupported camjSpecVersion %lld (this build "
-              "reads version 1)", static_cast<long long>(version));
+        fatal(RuleCode::E018, "spec: unsupported camjSpecVersion %lld (this "
+              "build reads version 1)", static_cast<long long>(version));
 
     DesignSpec spec;
     spec.name = o.at("name").asString();

@@ -17,20 +17,13 @@
  *
  * Exit codes: 0 clean (or warnings without --werror), 1 findings,
  * 2 usage errors. docs/lint_rules.md catalogues every rule code.
+ * `camj_sweep lint` runs the same command (analysis/lint_command.h).
  */
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
-#include <string>
-#include <vector>
 
-#include "analysis/analyzer.h"
-#include "analysis/grid_analyzer.h"
+#include "analysis/lint_command.h"
 #include "common/logging.h"
-#include "spec/grid.h"
-
-using namespace camj;
 
 namespace
 {
@@ -47,120 +40,11 @@ usage(std::FILE *to)
     return to == stdout ? 0 : 2;
 }
 
-struct FileReport
-{
-    size_t errors = 0;
-    size_t warnings = 0;
-};
-
-FileReport
-lintFile(const std::string &path, bool quiet)
-{
-    FileReport report;
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "%s: error: cannot read file\n",
-                     path.c_str());
-        report.errors = 1;
-        return report;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
-
-    std::vector<analysis::Diagnostic> diags;
-    bool parsed = false;
-    json::Value doc;
-    try {
-        doc = json::Value::parse(text);
-        parsed = true;
-    } catch (const ConfigError &e) {
-        diags.push_back(analysis::makeError(
-            analysis::classifyError(e.what()), "", e.what()));
-    }
-    if (parsed) {
-        analysis::SpecAnalyzer analyzer;
-        diags = analyzer.analyzeDocument(doc);
-    }
-    std::fputs(
-        analysis::formatDiagnostics(diags, path).c_str(), stdout);
-    report.errors = analysis::countSeverity(
-        diags, analysis::Severity::Error);
-    report.warnings = analysis::countSeverity(
-        diags, analysis::Severity::Warning);
-
-    // Grid analysis: only meaningful when the document parses into a
-    // spec at all (a broken base spec already failed above).
-    if (parsed && report.errors == 0) {
-        try {
-            const spec::SweepDocument sweep =
-                spec::sweepDocumentFromJson(text);
-            if (sweep.grid.points() > 1) {
-                analysis::GridAnalyzer grid;
-                const analysis::GridAnalysis result =
-                    grid.analyze(sweep);
-                std::fputs(result.summary().c_str(), stdout);
-                if (!quiet)
-                    std::printf(
-                        "%s: grid expands to %zu point(s), %zu "
-                        "provably infeasible\n",
-                        path.c_str(), result.totalPoints(),
-                        result.prunedPoints());
-            }
-        } catch (const ConfigError &e) {
-            std::printf("%s: %s\n", path.c_str(),
-                        analysis::makeError(
-                            analysis::classifyError(e.what()), "",
-                            e.what())
-                            .format()
-                            .c_str());
-            ++report.errors;
-        }
-    }
-    if (!quiet)
-        std::printf("%s: %zu error(s), %zu warning(s)\n",
-                    path.c_str(), report.errors, report.warnings);
-    return report;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    setLoggingEnabled(false);
-    bool werror = false, quiet = false;
-    std::vector<std::string> files;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h")
-            return usage(stdout);
-        if (arg == "--werror")
-            werror = true;
-        else if (arg == "--quiet")
-            quiet = true;
-        else if (arg[0] != '-')
-            files.push_back(arg);
-        else {
-            std::fprintf(stderr, "error: unexpected argument '%s'\n",
-                         arg.c_str());
-            return usage(stderr);
-        }
-    }
-    if (files.empty()) {
-        std::fprintf(stderr, "error: no input files\n");
-        return usage(stderr);
-    }
-
-    size_t errors = 0, warnings = 0;
-    for (const std::string &path : files) {
-        const FileReport report = lintFile(path, quiet);
-        errors += report.errors;
-        warnings += report.warnings;
-    }
-    if (errors > 0)
-        return 1;
-    if (werror && warnings > 0)
-        return 1;
-    return 0;
+    camj::setLoggingEnabled(false);
+    return camj::analysis::lintCommand(argc - 1, argv + 1, usage);
 }

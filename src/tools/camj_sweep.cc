@@ -29,12 +29,11 @@
 #include <cstring>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/analyzer.h"
-#include "analysis/grid_analyzer.h"
+#include "analysis/lint_command.h"
 #include "common/logging.h"
 #include "explore/jsonl.h"
 #include "explore/sweep.h"
@@ -83,9 +82,10 @@ usage(std::FILE *to)
 "                                  --doc\n"
 "      --doc FILE                  the original sweep document the\n"
 "                                  resume descriptor embeds\n"
-"  camj_sweep lint <spec-or-sweep.json> [options]\n"
+"  camj_sweep lint <spec-or-sweep.json>... [options]\n"
 "      static analysis only: report diagnostics, simulate nothing\n"
-"      --werror                    treat warnings as errors\n");
+"      --werror                    treat warnings as errors\n"
+"      --quiet                     findings only, no per-file summary\n");
     return to == stdout ? 0 : 2;
 }
 
@@ -409,77 +409,6 @@ cmdMerge(int argc, char **argv)
     return 0;
 }
 
-// ------------------------------------------------------------------ lint
-
-int
-cmdLint(int argc, char **argv)
-{
-    std::string input;
-    bool werror = false;
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--werror")
-            werror = true;
-        else if (input.empty() && arg[0] != '-')
-            input = arg;
-        else {
-            std::fprintf(stderr, "error: unexpected argument '%s'\n",
-                         arg.c_str());
-            return usage(stderr);
-        }
-    }
-    if (input.empty()) {
-        std::fprintf(stderr,
-                     "error: lint wants <spec-or-sweep.json>\n");
-        return usage(stderr);
-    }
-
-    std::ifstream in(input, std::ios::binary);
-    if (!in)
-        fatal("lint: cannot read '%s'", input.c_str());
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
-
-    std::vector<analysis::Diagnostic> diags;
-    bool parsed = false;
-    json::Value doc;
-    try {
-        doc = json::Value::parse(text);
-        parsed = true;
-    } catch (const ConfigError &e) {
-        diags.push_back(analysis::makeError(
-            analysis::classifyError(e.what()), "", e.what()));
-    }
-    if (parsed) {
-        analysis::SpecAnalyzer analyzer;
-        diags = analyzer.analyzeDocument(doc);
-    }
-    std::fputs(
-        analysis::formatDiagnostics(diags, input).c_str(), stdout);
-    size_t errors =
-        analysis::countSeverity(diags, analysis::Severity::Error);
-    const size_t warnings = analysis::countSeverity(
-        diags, analysis::Severity::Warning);
-
-    if (parsed && errors == 0) {
-        const spec::SweepDocument sweep =
-            spec::sweepDocumentFromJson(text);
-        if (sweep.grid.points() > 1) {
-            analysis::GridAnalyzer grid;
-            const analysis::GridAnalysis result = grid.analyze(sweep);
-            std::fputs(result.summary().c_str(), stdout);
-            std::printf("%s: grid expands to %zu point(s), %zu "
-                        "provably infeasible\n",
-                        input.c_str(), result.totalPoints(),
-                        result.prunedPoints());
-        }
-    }
-    std::printf("%s: %zu error(s), %zu warning(s)\n", input.c_str(),
-                errors, warnings);
-    return errors > 0 || (werror && warnings > 0) ? 1 : 0;
-}
-
 } // namespace
 
 int
@@ -499,7 +428,7 @@ main(int argc, char **argv)
         if (cmd == "merge")
             return cmdMerge(argc - 2, argv + 2);
         if (cmd == "lint")
-            return cmdLint(argc - 2, argv + 2);
+            return analysis::lintCommand(argc - 2, argv + 2, usage);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;

@@ -2,15 +2,19 @@
  * @file
  * Tests for the static spec analyzer: the golden corpus lints clean,
  * every rule fires with its exact code and field path on an injected
- * defect, dynamic ConfigError texts classify onto the catalogue, and
- * the grid prefilter never prunes a point full simulation would have
- * found feasible.
+ * defect, the simulator throws a code the analyzer found for the same
+ * defect, RuleCode and docs/lint_rules.md list the same catalogue,
+ * and the grid prefilter never prunes a point full simulation would
+ * have found feasible.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -147,209 +151,131 @@ TEST(GoldenCorpus, SampleDetectorAnalyzesClean)
 
 // ------------------------------------------------------ injected defects
 
-TEST(InjectedDefect, TopLevelParams)
+/** One spec defect every error rule must catch: the rule's code, the
+ *  field path it reports, and the mutation of the detector spec. */
+struct ErrorDefect
 {
-    spec::DesignSpec s = detector();
-    s.fps = -1.0;
-    EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-E001", "fps"))
-        << dumpDiags(analyze(s));
-    s = detector();
-    s.digitalClock = 0.0;
-    EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-E001", "digitalClock"));
-    s = detector();
-    s.name.clear();
-    EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-E001", "name"));
+    const char *code;
+    const char *path;
+    void (*inject)(spec::DesignSpec &s);
+};
+
+const ErrorDefect kErrorDefects[] = {
+    {"CAMJ-E001", "fps", [](spec::DesignSpec &s) { s.fps = -1.0; }},
+    {"CAMJ-E001", "digitalClock",
+     [](spec::DesignSpec &s) { s.digitalClock = 0.0; }},
+    {"CAMJ-E001", "name", [](spec::DesignSpec &s) { s.name.clear(); }},
+    {"CAMJ-E002", "memories[ActBuf]",
+     [](spec::DesignSpec &s) { s.memories.push_back(s.memories[0]); }},
+    {"CAMJ-E002", "stages[Bin]", // now two stages named Bin
+     [](spec::DesignSpec &s) { s.stages[2].params.name = "Bin"; }},
+    {"CAMJ-E003", "units[Classifier].inputMemories[0]",
+     [](spec::DesignSpec &s) { s.units[0].inputMemories[0] = "ActBfu"; }},
+    {"CAMJ-E003", "adcOutputMemory",
+     [](spec::DesignSpec &s) { s.adcOutputMemory = "Nope"; }},
+    {"CAMJ-E003", "mapping[2].hw",
+     [](spec::DesignSpec &s) { s.mapping[2].second = "Classifierz"; }},
+    {"CAMJ-E004", "stages[Bin].inputs", // Binning is unary
+     [](spec::DesignSpec &s) { s.stages[1].inputs.push_back("Conv"); }},
+    {"CAMJ-E005", "stages[Bin]", // breaks the stencil
+     [](spec::DesignSpec &s) {
+         s.stages[1].params.outputSize = {81, 60, 1};
+     }},
+    {"CAMJ-E006", "stages[Conv].inputSize",
+     [](spec::DesignSpec &s) {
+         // A self-consistent Conv whose input no longer matches Bin's
+         // output: the stage is valid, the edge is not.
+         s.stages[2].params.inputSize = {40, 30, 1};
+         s.stages[2].params.outputSize = {38, 28, 8};
+     }},
+    {"CAMJ-E007", "stages[Bin].inputs[0]",
+     [](spec::DesignSpec &s) { s.stages[1].inputs = {"Bin"}; }},
+    {"CAMJ-E007", "stages", // Bin <-> Conv cycle
+     [](spec::DesignSpec &s) { s.stages[1].inputs = {"Conv"}; }},
+    {"CAMJ-E007", "stages", [](spec::DesignSpec &s) { s.stages.clear(); }},
+    {"CAMJ-E008", "mapping", // Classify unmapped
+     [](spec::DesignSpec &s) { s.mapping.pop_back(); }},
+    {"CAMJ-E008", "mapping[1].hw", // Binning on a systolic array
+     [](spec::DesignSpec &s) { s.mapping[1].second = "Classifier"; }},
+    {"CAMJ-E008", "mapping[1].hw", // non-Input stage on a memory
+     [](spec::DesignSpec &s) { s.mapping[1].second = "ActBuf"; }},
+    {"CAMJ-E009", "analogArrays",
+     [](spec::DesignSpec &s) { s.analogArrays.clear(); }},
+    {"CAMJ-E010", "analogArrays[Adc].component",
+     [](spec::DesignSpec &s) {
+         // Voltage-output pixel array feeding an Optical-input
+         // component, and no ADC before the digital side.
+         s.analogArrays[1].component.kind = spec::ComponentKind::Aps4T;
+     }},
+    {"CAMJ-E011", "analogArrays[Adc].inputShape",
+     [](spec::DesignSpec &s) {
+         // A throughput step-down into a non-voltage consumer.
+         s.analogArrays[0].component.kind = spec::ComponentKind::PwmPixel;
+         s.analogArrays[1].component.kind =
+             spec::ComponentKind::TimeToVoltage;
+         s.analogArrays[1].inputShape = {1, 40, 1};
+     }},
+    {"CAMJ-E012", "adcOutputMemory",
+     [](spec::DesignSpec &s) { s.adcOutputMemory.clear(); }},
+    {"CAMJ-E012", "units[Classifier].inputMemories",
+     [](spec::DesignSpec &s) { s.units[0].inputMemories.clear(); }},
+    {"CAMJ-E013", "memories[ActBuf].nodeNm",
+     [](spec::DesignSpec &s) { s.memories[0].nodeNm = 254; }},
+    {"CAMJ-E013", "memories[ActBuf].activeFraction",
+     [](spec::DesignSpec &s) { s.memories[0].activeFraction = 1.5; }},
+    {"CAMJ-E013", "memories[ActBuf].capacityWords",
+     [](spec::DesignSpec &s) { s.memories[0].capacityWords = 0; }},
+    {"CAMJ-E014", "analogArrays[Adc].component.adc.bits",
+     [](spec::DesignSpec &s) { s.analogArrays[1].component.adc.bits = 20; }},
+    {"CAMJ-E014",
+     "analogArrays[PixelArray].component.aps.pixelsPerComponent",
+     [](spec::DesignSpec &s) {
+         s.analogArrays[0].component.aps.pixelsPerComponent = 0;
+     }},
+    {"CAMJ-E015", "analogArrays[Adc].component",
+     [](spec::DesignSpec &s) {
+         // The column ADC has no energy override, so its per-cell
+         // rate lower bound (60 accesses x 3 slots x fps = 1.8e12
+         // S/s) is FoM-surveyed, past the survey's 1e12 S/s edge.
+         s.fps = 1e10;
+     }},
+    {"CAMJ-E016", "mipi", // 4 output bytes must leave the package
+     [](spec::DesignSpec &s) { s.mipi.present = false; }},
+    {"CAMJ-E017", "units[Classifier].rows",
+     [](spec::DesignSpec &s) { s.units[0].systolic.rows = 0; }},
+    {"CAMJ-E017", "units[Classifier].clock",
+     [](spec::DesignSpec &s) { s.units[0].systolic.clock = 0.0; }},
+};
+
+TEST(InjectedDefect, EveryErrorRuleFiresAtItsPath)
+{
+    for (const ErrorDefect &d : kErrorDefects) {
+        spec::DesignSpec s = detector();
+        d.inject(s);
+        EXPECT_TRUE(hasDiag(analyze(s), d.code, d.path))
+            << d.code << " at " << d.path << ":\n"
+            << dumpDiags(analyze(s));
+    }
 }
 
-TEST(InjectedDefect, DuplicateNames)
-{
-    spec::DesignSpec s = detector();
-    s.memories.push_back(s.memories[0]);
-    EXPECT_TRUE(
-        hasDiag(analyze(s), "CAMJ-E002", "memories[ActBuf]"));
-    s = detector();
-    s.stages[2].params.name = "Bin"; // now two stages named Bin
-    EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-E002", "stages[Bin]"));
-}
-
-TEST(InjectedDefect, DanglingReferences)
-{
-    spec::DesignSpec s = detector();
-    s.units[0].inputMemories[0] = "ActBfu";
-    EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-E003",
-                        "units[Classifier].inputMemories[0]"));
-    s = detector();
-    s.adcOutputMemory = "Nope";
-    EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-E003", "adcOutputMemory"));
-    s = detector();
-    s.mapping[2].second = "Classifierz";
-    EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-E003", "mapping[2].hw"));
-}
-
-TEST(InjectedDefect, StageArity)
-{
-    spec::DesignSpec s = detector();
-    s.stages[1].inputs.push_back("Conv"); // Binning is unary
-    EXPECT_TRUE(
-        hasDiag(analyze(s), "CAMJ-E004", "stages[Bin].inputs"));
-}
-
-TEST(InjectedDefect, StageGeometry)
-{
-    spec::DesignSpec s = detector();
-    s.stages[1].params.outputSize = {81, 60, 1}; // breaks the stencil
-    EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-E005", "stages[Bin]"));
-}
-
-TEST(InjectedDefect, DagEdgeShapes)
-{
-    spec::DesignSpec s = detector();
-    // A self-consistent Conv whose input no longer matches Bin's
-    // output: the stage is valid, the edge is not.
-    s.stages[2].params.inputSize = {40, 30, 1};
-    s.stages[2].params.outputSize = {38, 28, 8};
-    EXPECT_TRUE(
-        hasDiag(analyze(s), "CAMJ-E006", "stages[Conv].inputSize"));
-}
-
-TEST(InjectedDefect, DagStructure)
-{
-    spec::DesignSpec s = detector();
-    s.stages[1].inputs = {"Bin"};
-    EXPECT_TRUE(
-        hasDiag(analyze(s), "CAMJ-E007", "stages[Bin].inputs[0]"));
-    s = detector();
-    s.stages[1].inputs = {"Conv"}; // Bin <-> Conv cycle
-    EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-E007", "stages"));
-    s = detector();
-    s.stages.clear();
-    EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-E007", "stages"));
-}
-
-TEST(InjectedDefect, Mapping)
-{
-    spec::DesignSpec s = detector();
-    s.mapping.pop_back(); // Classify unmapped
-    EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-E008", "mapping"));
-    s = detector();
-    s.mapping[1].second = "Classifier"; // Binning on a systolic array
-    EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-E008", "mapping[1].hw"));
-    s = detector();
-    s.mapping[1].second = "ActBuf"; // non-Input stage on a memory
-    EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-E008", "mapping[1].hw"));
-}
-
-TEST(InjectedDefect, AnalogPresence)
-{
-    spec::DesignSpec s = detector();
-    s.analogArrays.clear();
-    EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-E009", "analogArrays"));
-}
-
-TEST(InjectedDefect, AnalogChain)
-{
-    spec::DesignSpec s = detector();
-    // Voltage-output pixel array feeding an Optical-input component,
-    // and no ADC before the digital side: both are E010.
-    s.analogArrays[1].component.kind = spec::ComponentKind::Aps4T;
-    const std::vector<Diagnostic> diags = analyze(s);
-    EXPECT_TRUE(
-        hasDiag(diags, "CAMJ-E010", "analogArrays[Adc].component"))
-        << dumpDiags(diags);
-}
-
-TEST(InjectedDefect, AnalogThroughput)
+TEST(InjectedDefect, BufferedThroughputMismatchWarns)
 {
     // Narrowing the ADC's input: a voltage consumer buffers the
-    // mismatch (warning), any other domain needs an explicit buffer
-    // (error).
+    // mismatch (warning; the unbuffered case is E011 above).
     spec::DesignSpec s = detector();
     s.analogArrays[1].inputShape = {1, 40, 1};
     EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-W003",
                         "analogArrays[Adc].inputShape"));
-
-    s = detector();
-    s.analogArrays[0].component.kind = spec::ComponentKind::PwmPixel;
-    s.analogArrays[1].component.kind =
-        spec::ComponentKind::TimeToVoltage;
-    s.analogArrays[1].inputShape = {1, 40, 1};
-    EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-E011",
-                        "analogArrays[Adc].inputShape"));
 }
 
-TEST(InjectedDefect, DigitalWiring)
+TEST(InjectedDefect, AdcRateNearSurveyEdgeWarns)
 {
+    // Rate bound 1.8e11 S/s: inside the survey's extrapolation, past
+    // 1e11 (the E015 fixture goes past its 1e12 S/s edge).
     spec::DesignSpec s = detector();
-    s.adcOutputMemory.clear();
-    EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-E012", "adcOutputMemory"));
-    s = detector();
-    s.units[0].inputMemories.clear();
-    EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-E012",
-                        "units[Classifier].inputMemories"));
-}
-
-TEST(InjectedDefect, MemoryRanges)
-{
-    spec::DesignSpec s = detector();
-    s.memories[0].nodeNm = 254;
-    EXPECT_TRUE(
-        hasDiag(analyze(s), "CAMJ-E013", "memories[ActBuf].nodeNm"));
-    s = detector();
-    s.memories[0].activeFraction = 1.5;
-    EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-E013",
-                        "memories[ActBuf].activeFraction"));
-    s = detector();
-    s.memories[0].capacityWords = 0;
-    EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-E013",
-                        "memories[ActBuf].capacityWords"));
-}
-
-TEST(InjectedDefect, ComponentParams)
-{
-    spec::DesignSpec s = detector();
-    s.analogArrays[1].component.adc.bits = 20;
-    EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-E014",
-                        "analogArrays[Adc].component.adc.bits"));
-    s = detector();
-    s.analogArrays[0].component.aps.pixelsPerComponent = 0;
-    EXPECT_TRUE(hasDiag(
-        analyze(s), "CAMJ-E014",
-        "analogArrays[PixelArray].component.aps.pixelsPerComponent"));
-}
-
-TEST(InjectedDefect, AdcThroughputBound)
-{
-    // The detector's column ADC has no energy override, so its
-    // per-cell rate lower bound is FoM-surveyed: 60 accesses x 3
-    // slots x fps. Past 1e12 S/s the survey has no data at all
-    // (error); past 1e11 it extrapolates (warning).
-    spec::DesignSpec s = detector();
-    s.fps = 1e10; // bound 1.8e12 S/s
-    EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-E015",
-                        "analogArrays[Adc].component"))
-        << dumpDiags(analyze(s));
-    s.fps = 1e9; // bound 1.8e11 S/s
+    s.fps = 1e9;
     EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-W004",
                         "analogArrays[Adc].component"));
-}
-
-TEST(InjectedDefect, CommBoundary)
-{
-    spec::DesignSpec s = detector();
-    s.mipi.present = false; // 4 output bytes must leave the package
-    EXPECT_TRUE(hasDiag(analyze(s), "CAMJ-E016", "mipi"));
-}
-
-TEST(InjectedDefect, UnitParams)
-{
-    spec::DesignSpec s = detector();
-    s.units[0].systolic.rows = 0;
-    EXPECT_TRUE(
-        hasDiag(analyze(s), "CAMJ-E017", "units[Classifier].rows"));
-    s = detector();
-    s.units[0].systolic.clock = 0.0;
-    EXPECT_TRUE(
-        hasDiag(analyze(s), "CAMJ-E017", "units[Classifier].clock"));
 }
 
 TEST(InjectedDefect, DeadComponents)
@@ -453,29 +379,42 @@ TEST(KeyLint, CleanDocumentHasNoFindings)
     EXPECT_TRUE(diags.empty()) << dumpDiags(diags);
 }
 
-// ----------------------------------------------- dynamic classification
+// --------------------------------------------------------- rule codes
 
-TEST(ClassifyError, MapsEngineTextsOntoCatalogue)
+TEST(RuleCodes, SimulatorThrowsAnErrorTheAnalyzerFound)
 {
-    EXPECT_EQ(analysis::classifyError(""), "");
-    EXPECT_EQ(analysis::classifyError(
-                  "EvalPipeline: pipeline stall: stage 'x'"),
-              "CAMJ-D001");
-    EXPECT_EQ(analysis::classifyError(
-                  "total latency 2 ms exceeds the frame budget"),
-              "CAMJ-D002");
-    EXPECT_EQ(analysis::classifyError(
-                  "design has no analog arrays (a CIS starts with a "
-                  "pixel array)"),
-              "CAMJ-E009");
-    EXPECT_EQ(analysis::classifyError(
-                  "stage 'Bin' is not mapped to hardware"),
-              "CAMJ-E008");
-    EXPECT_EQ(analysis::classifyError("something unprecedented"),
-              "CAMJ-D003");
+    // The code a failing check throws with is one of the analyzer's
+    // errors for the same spec, for every error fixture above.
+    SimulationOptions options;
+    options.checkMode = CheckMode::Report;
+    const Simulator sim(options);
+    for (const ErrorDefect &d : kErrorDefects) {
+        spec::DesignSpec s = detector();
+        d.inject(s);
+        const SimulationOutcome out = sim.run(s);
+        ASSERT_FALSE(out.feasible) << d.code << " at " << d.path;
+        if (std::string(d.code) == "CAMJ-E015") {
+            // The one pinned exception: at fps = 1e10 the frame
+            // budget fails (D002) before the pipeline reaches the ADC
+            // survey lookup that would throw E015.
+            EXPECT_EQ(out.ruleCode, "CAMJ-D002") << out.error;
+            continue;
+        }
+        std::vector<std::string> static_codes;
+        for (const Diagnostic &diag : analyze(s)) {
+            if (diag.severity == Severity::Error)
+                static_codes.push_back(diag.code);
+        }
+        EXPECT_NE(std::find(static_codes.begin(), static_codes.end(),
+                            out.ruleCode),
+                  static_codes.end())
+            << d.code << " at " << d.path << ": simulation threw "
+            << out.ruleCode << " (" << out.error << ")\n"
+            << dumpDiags(analyze(s));
+    }
 }
 
-TEST(ClassifyError, InfeasibleOutcomeCarriesRuleCode)
+TEST(RuleCodes, InfeasibleOutcomeCarriesRuleCode)
 {
     spec::DesignSpec s = detector();
     s.mapping.pop_back();
@@ -484,6 +423,69 @@ TEST(ClassifyError, InfeasibleOutcomeCarriesRuleCode)
     const SimulationOutcome out = Simulator(options).run(s);
     EXPECT_FALSE(out.feasible);
     EXPECT_EQ(out.ruleCode, "CAMJ-E008") << out.error;
+}
+
+TEST(RuleCodes, MalformedDocumentsAreE018)
+{
+    try {
+        json::Value::parse("{\"name\": ");
+        ADD_FAILURE() << "truncated JSON must not parse";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(e.code(), RuleCode::E018) << e.what();
+    }
+
+    const json::Value base = spec::toJsonValue(detector());
+    std::vector<json::Value> docs(3, base);
+    docs[0].set("fps", json::Value("fast"));
+    docs[1].find("stages")->mutableArray()[1].set("op",
+                                                  json::Value("blur"));
+    docs[2].set("camjSpecVersion", json::Value(99));
+    for (const json::Value &doc : docs) {
+        const std::vector<Diagnostic> diags =
+            SpecAnalyzer().analyzeDocument(doc);
+        ASSERT_EQ(diags.size(), 1u) << dumpDiags(diags);
+        EXPECT_EQ(diags[0].code, "CAMJ-E018") << dumpDiags(diags);
+        EXPECT_EQ(diags[0].severity, Severity::Error);
+    }
+}
+
+TEST(RuleCodes, DanglingAxisPathIsE003AtTheAxis)
+{
+    spec::SweepDocument doc = spec::sweepDocumentFromJson(
+        readFile(fs::path(CAMJ_EXAMPLES_DIR) / "detector_sweep.json"));
+    EXPECT_TRUE(analysis::checkAxisPaths(doc).empty());
+    doc.grid.axes[0].path = "memories[Nope].nodeNm";
+    const std::vector<Diagnostic> diags = analysis::checkAxisPaths(doc);
+    ASSERT_EQ(diags.size(), 1u) << dumpDiags(diags);
+    EXPECT_TRUE(hasDiag(diags, "CAMJ-E003", "sweepGrid.axes[0].path"))
+        << dumpDiags(diags);
+    // Opening the sweep fails with the same code.
+    try {
+        doc.source();
+        ADD_FAILURE() << "a dangling axis path must not open";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(e.code(), RuleCode::E003) << e.what();
+    }
+}
+
+TEST(RuleCodes, CatalogueDocumentsEveryCode)
+{
+    // docs/lint_rules.md and RuleCode list exactly the same codes.
+    const std::string doc =
+        readFile(fs::path(CAMJ_DOCS_DIR) / "lint_rules.md");
+    std::set<std::string> documented;
+    const std::regex code_re("CAMJ-[EWID][0-9]{3}");
+    for (auto it = std::sregex_iterator(doc.begin(), doc.end(), code_re);
+         it != std::sregex_iterator(); ++it)
+        documented.insert(it->str());
+    std::set<std::string> declared;
+    for (size_t i = 0; i < kRuleCodeCount; ++i) {
+        const auto code = static_cast<RuleCode>(i);
+        declared.insert(ruleCodeName(code));
+        EXPECT_EQ(ruleCodeFromName(ruleCodeName(code)), code);
+    }
+    EXPECT_EQ(documented, declared);
+    EXPECT_FALSE(ruleCodeFromName("CAMJ-E999").has_value());
 }
 
 // -------------------------------------------------------- grid analysis

@@ -69,6 +69,7 @@ expectIdenticalOutcome(const SimulationOutcome &inc,
 {
     ASSERT_EQ(inc.feasible, ref.feasible) << what;
     EXPECT_EQ(inc.error, ref.error) << what;
+    EXPECT_EQ(inc.ruleCode, ref.ruleCode) << what;
     EXPECT_EQ(inc.frames, ref.frames) << what;
     EXPECT_EQ(inc.snrPenaltyDb, ref.snrPenaltyDb) << what;
     if (!ref.feasible)
@@ -452,6 +453,40 @@ TEST(OutcomeStoreDisk, StrictModeRethrowsStoredFailures)
         EXPECT_EQ(std::string(e.what()), ref.error);
     }
     EXPECT_EQ(reader.stats().diskHits, 1u);
+}
+
+TEST(OutcomeStoreDisk, RestoredFailuresKeepTheirRuleCode)
+{
+    ScopedCacheDir dir("rulecode");
+    spec::DesignSpec bad = spec::sampleDetectorSpec(100000.0, 65);
+    SimulationOutcome ref;
+    {
+        IncrementalEvaluator writer(
+            reportOptions(), IncrementalEvaluator::kDefaultCacheEntries,
+            dir.path());
+        ref = writer.evaluate(bad);
+        ASSERT_FALSE(ref.feasible);
+        ASSERT_EQ(ref.ruleCode, "CAMJ-D002") << ref.error;
+    }
+
+    IncrementalEvaluator reader(
+        reportOptions(), IncrementalEvaluator::kDefaultCacheEntries,
+        dir.path());
+    const SimulationOutcome restored = reader.evaluate(bad);
+    EXPECT_EQ(reader.stats().diskHits, 1u);
+    EXPECT_EQ(restored.ruleCode, ref.ruleCode);
+
+    SimulationOptions strict;
+    strict.checkMode = CheckMode::Strict;
+    IncrementalEvaluator strict_reader(
+        strict, IncrementalEvaluator::kDefaultCacheEntries, dir.path());
+    try {
+        strict_reader.evaluate(bad);
+        FAIL() << "stored infeasibility must rethrow under Strict";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(e.code(), RuleCode::D002);
+    }
+    EXPECT_EQ(strict_reader.stats().diskHits, 1u);
 }
 
 TEST(OutcomeStoreDisk, CorruptedFilesDegradeToRebuilds)

@@ -54,11 +54,13 @@ class ScopedMode
 };
 
 /** One run's observable outcome: the full counter set, or the fatal
- *  text when the pipeline failed to drain. */
+ *  text and rule code when the pipeline failed to drain. */
 struct Outcome
 {
     bool threw = false;
     std::string error;
+    /** ruleCodeName() of the ConfigError; empty for other throws. */
+    std::string code;
     CycleSimResult result;
 };
 
@@ -69,6 +71,10 @@ runMode(CycleSim &sim, CycleSim::Mode mode, int64_t max_cycles)
     Outcome out;
     try {
         out.result = sim.run(max_cycles);
+    } catch (const ConfigError &e) {
+        out.threw = true;
+        out.error = e.what();
+        out.code = ruleCodeName(e.code());
     } catch (const std::exception &e) {
         out.threw = true;
         out.error = e.what();
@@ -85,6 +91,9 @@ expectSameOutcome(const Outcome &tick, const Outcome &ffwd,
                                       << ")";
     if (tick.threw) {
         EXPECT_EQ(tick.error, ffwd.error) << label;
+        // A drain failure is the catalogue's pipeline deadlock.
+        EXPECT_EQ(tick.code, "CAMJ-D001") << label;
+        EXPECT_EQ(ffwd.code, "CAMJ-D001") << label;
         return;
     }
     const CycleSimResult &a = tick.result;

@@ -809,6 +809,95 @@ TEST(CamjSweepCli, RunPreflightAbortsOnBrokenBaseUnlessDisabled)
     EXPECT_EQ(record->ruleCode, "CAMJ-E008") << record->error;
 }
 
+#ifdef CAMJ_LINT_BIN
+
+/** One lint run: exit status and captured stdout. */
+struct LintRun
+{
+    int exit = -1;
+    std::string out;
+};
+
+LintRun
+lintWith(const std::string &command, const fs::path &dir)
+{
+    const fs::path out = dir / "stdout.txt";
+    const int status =
+        std::system((command + " > " + out.string() + " 2>/dev/null")
+                        .c_str());
+    return {WIFEXITED(status) ? WEXITSTATUS(status) : -1,
+            readFile(out)};
+}
+
+/** camj_lint F and camj_sweep lint F print the same bytes to stdout
+ *  and exit the same way: one lint routine behind both. */
+TEST(CamjSweepCli, LintMatchesCamjLint)
+{
+    const fs::path dir = scratchDir("cli_lint_parity");
+    const std::string text =
+        readFile(fs::path(CAMJ_EXAMPLES_DIR) / "detector_sweep.json");
+    writeFile(dir / "example.json", text);
+
+    json::Value empty_axis = json::Value::parse(text);
+    empty_axis.find("sweepGrid")->find("axes")->mutableArray()[2].set(
+        "values", json::Value::makeArray());
+    writeFile(dir / "empty_axis.json", empty_axis.dump());
+
+    json::Value dangling = json::Value::parse(text);
+    dangling.find("sweepGrid")->find("axes")->mutableArray()[0].set(
+        "path", json::Value("memories[Nope].nodeNm"));
+    writeFile(dir / "dangling.json", dangling.dump());
+
+    json::Value bad_value = json::Value::parse(text);
+    bad_value.find("sweepGrid")->find("axes")->mutableArray()[0]
+        .find("values")->mutableArray()[0] = json::Value("fast");
+    writeFile(dir / "bad_value.json", bad_value.dump());
+
+    writeFile(dir / "truncated.json", text.substr(0, text.size() / 2));
+
+    struct Case
+    {
+        const char *file;
+        int exit;
+        const char *expect; // a stdout fragment
+    } cases[] = {
+        {"example.json", 0, "grid expands to 108 point(s), 0 provably"},
+        {"empty_axis.json", 1, "error CAMJ-E018: "},
+        {"dangling.json", 1,
+         "error CAMJ-E003 at sweepGrid.axes[0].path: "},
+        {"bad_value.json", 1, "error CAMJ-E018: "},
+        {"truncated.json", 1, "error CAMJ-E018: "},
+        {"missing.json", 1, ""},
+    };
+    for (const Case &c : cases) {
+        const std::string file = (dir / c.file).string();
+        const LintRun lint =
+            lintWith(std::string(CAMJ_LINT_BIN) + " " + file, dir);
+        const LintRun sweep = lintWith(
+            std::string(CAMJ_SWEEP_BIN) + " lint " + file, dir);
+        EXPECT_EQ(lint.exit, c.exit) << c.file << ":\n" << lint.out;
+        EXPECT_EQ(sweep.exit, lint.exit) << c.file;
+        EXPECT_EQ(sweep.out, lint.out) << c.file;
+        EXPECT_NE(lint.out.find(c.expect), std::string::npos)
+            << c.file << ":\n" << lint.out;
+    }
+    // The dangling path is a broken document, not 108 doomed points.
+    const LintRun dangling_run = lintWith(
+        std::string(CAMJ_LINT_BIN) + " " + (dir / "dangling.json").string(),
+        dir);
+    EXPECT_EQ(dangling_run.out.find("provably infeasible"),
+              std::string::npos)
+        << dangling_run.out;
+    // And `camj_sweep run` refuses both documents lint rejects.
+    for (const char *file : {"dangling.json", "bad_value.json"})
+        EXPECT_EQ(cliExit("run " + (dir / file).string() + " --out " +
+                          (dir / "out.jsonl").string()),
+                  1)
+            << file;
+}
+
+#endif // CAMJ_LINT_BIN
+
 #endif // CAMJ_SWEEP_BIN
 
 } // namespace
