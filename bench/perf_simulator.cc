@@ -646,25 +646,18 @@ shardedStudyDocument()
 }
 
 /** One shard's JSONL bytes, exactly as `camj_sweep run` writes them
- *  (in-order, global indices), on a 1-thread engine — the unit of
- *  work one shard process performs. */
+ *  by default (runShard, incremental, in-order, global indices), on a
+ *  1-thread engine — the unit of work one shard process performs. */
 std::string
 runShardJsonl(const spec::SweepDocument &doc,
               const spec::ShardAssignment &assignment)
 {
     std::ostringstream out;
     spec::GridSpecSource grid = doc.source();
-    spec::ShardSpecSource source(grid, assignment);
-    JsonlSink lines(out);
-    ReindexSink global(lines, [&](size_t local) {
-        return assignment.globalIndex(local);
-    });
-    InOrderSink ordered(global);
     SweepOptions options;
     options.threads = 1;
-    options.reuseMaterializations = true;
-    SweepEngine engine(options);
-    engine.runStream(source, ordered);
+    options.incremental = true;
+    runShard(grid, assignment, options, out);
     return out.str();
 }
 
@@ -1056,8 +1049,9 @@ writeBenchJson()
     doc.set("incrementalSweep", std::move(incremental));
 
     // Sharded sweep: the multi-PROCESS pipeline. The canonical
-    // 108-point grid document once in this process (1 thread,
-    // in-order JSONL) and once as 4 forked shard workers — the
+    // 108-point grid document once in this process (runShard: 1
+    // thread, incremental, in-order JSONL) and once as 4 forked
+    // runShard workers — the
     // camj_sweep plan/run/merge deployment shape — then the stream
     // merge, which must reproduce the 1-process bytes exactly.
     const spec::SweepDocument sharded_doc = shardedStudyDocument();
@@ -1139,11 +1133,11 @@ writeBenchJson()
 
     // Prefiltered sweep: the canonical study widened with axis values
     // the static grid analysis can prove infeasible (an out-of-range
-    // SRAM node and an active fraction > 1). PrefilterSpecSource must
-    // skip EXACTLY provably-doomed points — every pruned point is
-    // re-simulated and must come back infeasible (false positives
-    // fail the bench) — and the pruned sweep's end-to-end win over
-    // the unfiltered run is the artifact's tracked speedup.
+    // SRAM node and an active fraction > 1). A sweep filtered by
+    // GridAnalysis::doomed must skip EXACTLY provably-doomed points —
+    // every pruned point is re-simulated and must come back infeasible
+    // (false positives fail the bench) — and the filtered sweep's
+    // end-to-end win over the unfiltered run is the tracked speedup.
     spec::SweepDocument pre_doc = shardedStudyDocument();
     pre_doc.grid.axes[1].values.push_back(json::Value(254));
     pre_doc.grid.axes[2].values.push_back(json::Value(1.5));
@@ -1177,12 +1171,21 @@ writeBenchJson()
             return true;
         });
         const auto t0 = std::chrono::steady_clock::now();
+        spec::GridSpecSource grid = pre_doc.source();
         if (filtered) {
-            analysis::PrefilterSpecSource source(pre_doc);
+            // The analysis runs on the clock: it is the filter's cost.
+            const analysis::GridAnalysis a =
+                analysis::GridAnalyzer().analyze(pre_doc);
+            std::vector<size_t> survivors;
+            for (size_t i = 0; i < n_pre; ++i) {
+                if (!a.doomed(i))
+                    survivors.push_back(i);
+            }
+            spec::ShardSpecSource source(
+                grid, spec::explicitShard(n_pre, std::move(survivors)));
             pre_engine.runStream(source, count);
         } else {
-            spec::GridSpecSource source = pre_doc.source();
-            pre_engine.runStream(source, count);
+            pre_engine.runStream(grid, count);
         }
         const auto t1 = std::chrono::steady_clock::now();
         benchmark::DoNotOptimize(delivered);
@@ -1408,7 +1411,9 @@ writeBenchJson()
     // Served sweep: the camj_serve service end to end — a loopback
     // Server (2 in-process shard workers), a Client submitting the
     // canonical study over TCP and streaming the merged results —
-    // against the same study through a plain in-process runStream.
+    // against the same study through an in-process runShard. Both
+    // sides evaluate incrementally (the served workers' mode), so
+    // overheadRatio is the service's cost over the library path.
     // The tracked numbers are the service's throughput and its
     // overhead ratio over the library path; the streamed bytes must
     // be byte-identical to the local run, because that identity IS

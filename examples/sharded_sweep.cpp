@@ -5,8 +5,8 @@
  *
  * A 108-point sweepGrid study is planned into 3 shards, each shard is
  * evaluated by its own single-threaded engine exactly as a separate
- * worker process would (ShardSpecSource -> InOrderSink -> ReindexSink
- * -> JsonlSink), and the merge reducer folds the shard files back
+ * worker process would (runShard, the routine behind `camj_sweep
+ * run`), and the merge reducer folds the shard files back
  * into one in-order result stream — byte-identical to a 1-process
  * run — plus summary statistics.
  *
@@ -64,20 +64,14 @@ main()
     for (const std::string &path : descriptors) {
         const spec::ShardDescriptor d = spec::loadShardFile(path);
         spec::GridSpecSource grid = d.gridSource();
-        spec::ShardSpecSource source(grid, d.shard);
 
         const std::string out_path = strprintf(
             "%s/shard-%zu.jsonl", work.string().c_str(),
             d.shard.shardIndex);
         std::ofstream out(out_path, std::ios::binary);
-        JsonlSink lines(out);
-        ReindexSink global(lines, [&](size_t local) {
-            return d.shard.globalIndex(local);
-        });
-        InOrderSink ordered(global);
-        SweepEngine engine(SweepOptions{.threads = 1,
-                                        .incremental = true});
-        const StreamStats stats = engine.runStream(source, ordered);
+        const StreamStats stats = runShard(
+            grid, d.shard,
+            SweepOptions{.threads = 1, .incremental = true}, out);
         std::printf("shard %zu/%zu: [%zu, %zu) -> %zu line(s)\n",
                     d.shard.shardIndex, d.shard.shardCount,
                     d.shard.begin, d.shard.end, stats.delivered);

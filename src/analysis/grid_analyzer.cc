@@ -320,71 +320,4 @@ checkAxisPaths(const SweepDocument &doc)
     return out;
 }
 
-// -------------------------------------------------- PrefilterSpecSource
-
-PrefilterSpecSource::PrefilterSpecSource(const SweepDocument &doc)
-    : PrefilterSpecSource(doc, GridAnalyzer())
-{
-}
-
-PrefilterSpecSource::PrefilterSpecSource(const SweepDocument &doc,
-                                         const GridAnalyzer &analyzer)
-    : inner_(doc.base, doc.grid), analysis_(analyzer.analyze(doc))
-{
-    const size_t total = inner_.totalPoints();
-    survivors_.reserve(total);
-    for (size_t i = 0; i < total; ++i) {
-        if (analysis_.doomed(i))
-            pruned_.push_back(i);
-        else
-            survivors_.push_back(i);
-    }
-}
-
-std::optional<DesignSpec>
-PrefilterSpecSource::next()
-{
-    size_t unused = 0;
-    return nextIndexed(unused);
-}
-
-std::optional<DesignSpec>
-PrefilterSpecSource::nextIndexed(size_t &index)
-{
-    const size_t local =
-        cursor_.fetch_add(1, std::memory_order_relaxed);
-    if (local >= survivors_.size())
-        return std::nullopt;
-    index = local;
-    return inner_.at(survivors_[local]);
-}
-
-std::optional<std::vector<std::string>>
-PrefilterSpecSource::changedPaths(size_t from, size_t to) const
-{
-    if (from >= survivors_.size() || to >= survivors_.size())
-        return std::nullopt;
-    return inner_.changedPaths(survivors_[from], survivors_[to]);
-}
-
-DesignSpec
-PrefilterSpecSource::at(size_t index) const
-{
-    if (index >= survivors_.size())
-        fatal("PrefilterSpecSource: index %zu out of range (%zu "
-              "surviving points)",
-              index, survivors_.size());
-    return inner_.at(survivors_[index]);
-}
-
-size_t
-PrefilterSpecSource::globalIndex(size_t local) const
-{
-    if (local >= survivors_.size())
-        fatal("PrefilterSpecSource: local index %zu out of range "
-              "(%zu surviving points)",
-              local, survivors_.size());
-    return survivors_[local];
-}
-
 } // namespace camj::analysis

@@ -14,24 +14,24 @@
  * the verdict — and whenever a proof would be too expensive (combo
  * blow-up) it simply proves nothing.
  *
- * PrefilterSpecSource packages the analysis as a drop-in
- * IndexableSpecSource that yields only the surviving points.
+ * Production only counts what it proves (`camj_lint` prints the
+ * summary, the sweep service reports the pruned count): a sweep still
+ * evaluates every point, because served and local output both cover
+ * the whole grid. A caller that wants to skip doomed points filters on
+ * GridAnalysis::doomed().
  */
 
 #ifndef CAMJ_ANALYSIS_GRID_ANALYZER_H
 #define CAMJ_ANALYSIS_GRID_ANALYZER_H
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/analyzer.h"
 #include "spec/grid.h"
-#include "spec/source.h"
 
 namespace camj::analysis
 {
@@ -137,53 +137,6 @@ class GridAnalyzer
  * dangling path is a broken document, not a grid of doomed points.
  */
 std::vector<Diagnostic> checkAxisPaths(const spec::SweepDocument &doc);
-
-/**
- * An IndexableSpecSource yielding only the points a GridAnalysis
- * could not prove infeasible. Local indices are dense (0..N-1 over
- * survivors); globalIndex() recovers a point's identity in the
- * unfiltered grid. Supports concurrent pulls like the grid source it
- * wraps.
- */
-class PrefilterSpecSource : public spec::IndexableSpecSource
-{
-  public:
-    /** Analyze with the default GridAnalyzer. @throws ConfigError
-     *  when the document's grid fails structural validation. */
-    explicit PrefilterSpecSource(const spec::SweepDocument &doc);
-
-    PrefilterSpecSource(const spec::SweepDocument &doc,
-                        const GridAnalyzer &analyzer);
-
-    std::optional<spec::DesignSpec> next() override;
-    std::optional<size_t> sizeHint() const override
-    {
-        return survivors_.size();
-    }
-    bool concurrentPulls() const override { return true; }
-    std::optional<spec::DesignSpec> nextIndexed(size_t &index) override;
-    std::optional<std::vector<std::string>> changedPaths(
-        size_t from, size_t to) const override;
-
-    spec::DesignSpec at(size_t index) const override;
-    size_t totalPoints() const override { return survivors_.size(); }
-
-    /** Unfiltered grid index of surviving point @p local. */
-    size_t globalIndex(size_t local) const;
-
-    /** Global indices of the pruned points, ascending. */
-    const std::vector<size_t> &prunedIndices() const { return pruned_; }
-
-    /** The analysis backing the filter (justifications live here). */
-    const GridAnalysis &analysis() const { return analysis_; }
-
-  private:
-    spec::GridSpecSource inner_;
-    GridAnalysis analysis_;
-    std::vector<size_t> survivors_;
-    std::vector<size_t> pruned_;
-    std::atomic<size_t> cursor_{0};
-};
 
 } // namespace camj::analysis
 

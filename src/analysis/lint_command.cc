@@ -1,7 +1,6 @@
 #include "analysis/lint_command.h"
 
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,33 +31,17 @@ lintFile(const std::string &path, bool quiet, size_t &errors,
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-    const std::string text = buf.str();
-
-    std::vector<Diagnostic> diags;
-    std::optional<spec::SweepDocument> sweep;
-    try {
-        diags = SpecAnalyzer().analyzeDocument(json::Value::parse(text));
-        // The grid only means something over a base spec that parses
-        // and passes the analysis.
-        if (!hasErrors(diags)) {
-            sweep = spec::sweepDocumentFromJson(text);
-            for (Diagnostic &d : checkAxisPaths(*sweep))
-                diags.push_back(std::move(d));
-            // Opening the grid probes every axis value, as a run does.
-            if (!hasErrors(diags))
-                sweep->source();
-        }
-    } catch (const ConfigError &e) {
-        diags.push_back(makeError(e));
-    }
+    const DocumentCheck check = checkSweepDocument(buf.str());
+    const std::vector<Diagnostic> &diags = check.diagnostics;
     std::fputs(formatDiagnostics(diags, path).c_str(), stdout);
     const size_t file_errors = countSeverity(diags, Severity::Error);
     const size_t file_warnings = countSeverity(diags, Severity::Warning);
     errors += file_errors;
     warnings += file_warnings;
 
-    if (file_errors == 0 && sweep && sweep->grid.points() > 1) {
-        const GridAnalysis result = GridAnalyzer().analyze(*sweep);
+    if (check.document && check.document->grid.points() > 1) {
+        const GridAnalysis result =
+            GridAnalyzer().analyze(*check.document);
         std::fputs(result.summary().c_str(), stdout);
         if (!quiet)
             std::printf("%s: grid expands to %zu point(s), %zu "
@@ -72,6 +55,40 @@ lintFile(const std::string &path, bool quiet, size_t &errors,
 }
 
 } // namespace
+
+DocumentCheck
+checkSweepDocument(const std::string &text)
+{
+    using Stage = DocumentCheck::Stage;
+    DocumentCheck check;
+    Stage stage = Stage::Parse;
+    try {
+        const json::Value raw = json::Value::parse(text);
+        stage = Stage::Analysis;
+        check.diagnostics = SpecAnalyzer().analyzeDocument(raw);
+        if (hasErrors(check.diagnostics)) {
+            check.failed = Stage::Analysis;
+            return check;
+        }
+        // The grid only means something over a base spec that parses
+        // and passes the analysis.
+        stage = Stage::Document;
+        spec::SweepDocument sweep = spec::sweepDocumentFromJson(text);
+        for (Diagnostic &d : checkAxisPaths(sweep))
+            check.diagnostics.push_back(std::move(d));
+        if (hasErrors(check.diagnostics)) {
+            check.failed = Stage::Document;
+            return check;
+        }
+        // Opening the grid probes every axis value, as a run does.
+        sweep.source();
+        check.document = std::move(sweep);
+    } catch (const ConfigError &e) {
+        check.diagnostics.push_back(makeError(e));
+        check.failed = stage;
+    }
+    return check;
+}
 
 int
 lintCommand(int argc, char **argv, int (*usage)(std::FILE *))

@@ -1,20 +1,56 @@
 /**
  * @file
- * The lint command behind both `camj_lint` and `camj_sweep lint`:
- * one routine, so both front ends print the same findings and exit
- * the same way. Each document gets SpecAnalyzer::analyzeDocument; a
- * sweep document with a clean base also gets checkAxisPaths(), the
- * axis-value probe `camj_sweep run` makes on opening the grid, and
- * the GridAnalyzer summary.
+ * The lint gate: one check of a sweep document, shared by `camj_lint`,
+ * `camj_sweep lint` and the sweep service's admission, so a document
+ * one of them accepts none of the others rejects. checkSweepDocument()
+ * runs SpecAnalyzer::analyzeDocument, then parses the sweep document,
+ * probes its axis paths (checkAxisPaths) and opens the grid, the way
+ * `camj_sweep run` does. lintCommand() is the command-line front end
+ * both lint tools call, so they print the same findings and exit the
+ * same way.
  */
 
 #ifndef CAMJ_ANALYSIS_LINT_COMMAND_H
 #define CAMJ_ANALYSIS_LINT_COMMAND_H
 
 #include <cstdio>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "analysis/diagnostic.h"
+#include "spec/grid.h"
 
 namespace camj::analysis
 {
+
+/** What checkSweepDocument() found about one document. */
+struct DocumentCheck
+{
+    /** The stage that rejected the document, if any. */
+    enum class Stage
+    {
+        /** Accepted: document is set. */
+        Passed,
+        /** The text is not JSON. */
+        Parse,
+        /** SpecAnalyzer found errors in the document. */
+        Analysis,
+        /** The sweep document itself is broken: grid validation, a
+         *  dangling axis path, or an axis value the grid rejects. */
+        Document,
+    };
+
+    Stage failed = Stage::Passed;
+    /** Every finding, warnings included, in the order found. */
+    std::vector<Diagnostic> diagnostics;
+    /** The parsed sweep document; set only when failed == Passed. */
+    std::optional<spec::SweepDocument> document;
+};
+
+/** Check one sweep (or plain spec) document's text. Never throws
+ *  ConfigError: a rejection is a diagnostic carrying its code. */
+DocumentCheck checkSweepDocument(const std::string &text);
 
 /**
  * Lint the files named in @p argv (options: --werror, --quiet).

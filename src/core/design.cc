@@ -104,7 +104,9 @@ registeredNames(const Range &range, NameFn name)
     for (const auto &item : range) {
         if (!out.empty())
             out += ", ";
-        out += "'" + name(item) + "'";
+        out += '\'';
+        out += name(item);
+        out += '\'';
     }
     return out.empty() ? "<none>" : out;
 }

@@ -11,6 +11,23 @@ namespace camj
 
 using json::Value;
 
+// ------------------------------------------------------------- writing
+
+StreamStats
+runShard(spec::IndexableSpecSource &parent,
+         const spec::ShardAssignment &assignment,
+         const SweepOptions &options, std::ostream &out,
+         const CancelToken *cancel)
+{
+    spec::ShardSpecSource source(parent, assignment);
+    JsonlSink lines(out);
+    ReindexSink global(lines, [&assignment](size_t local) {
+        return assignment.globalIndex(local);
+    });
+    InOrderSink ordered(global);
+    return SweepEngine(options).runStream(source, ordered, cancel);
+}
+
 // -------------------------------------------------------------- parsing
 
 JsonlRecord

@@ -1,9 +1,9 @@
 /**
  * @file
- * The read side of the JSONL shard format, and the merge reducer that
- * turns N shard files back into one in-order result stream. JsonlSink
- * (sink.h) is the write side: one JSON object per line, keyed by the
- * global "index" member.
+ * The JSONL shard format: runShard() writes one shard's lines, the
+ * read side parses them, and the merge reducer turns N shard files
+ * back into one in-order result stream. A line is one JSON object
+ * (sweepResultToJsonl in sink.h), keyed by the global "index" member.
  *
  * The merge is a streaming k-way reduce: every shard file is read
  * through a cursor (shard runs write in ascending index order, so one
@@ -27,8 +27,27 @@
 #include <string>
 #include <vector>
 
+#include "explore/sweep.h"
+#include "spec/shard.h"
+
 namespace camj
 {
+
+/**
+ * Evaluate the points @p assignment owns out of @p parent and write
+ * their JSONL lines to @p out: ascending, stamped with GLOBAL grid
+ * indices, flushed line by line. This is the one chain that defines a
+ * shard's bytes (ShardSpecSource -> InOrderSink -> ReindexSink ->
+ * JsonlSink); `camj_sweep run`, the sweep service's workers and the
+ * benches all call it, so a served, merged or local run cannot drift.
+ *
+ * @throws ConfigError when the assignment does not fit @p parent or a
+ *         write fails; evaluation failures are lines, not throws.
+ */
+StreamStats runShard(spec::IndexableSpecSource &parent,
+                     const spec::ShardAssignment &assignment,
+                     const SweepOptions &options, std::ostream &out,
+                     const CancelToken *cancel = nullptr);
 
 /** One parsed shard-file line (see sweepResultToJsonl). */
 struct JsonlRecord

@@ -169,16 +169,11 @@ bool
 JsonlSink::accept(SweepResult result)
 {
     out_ << sweepResultToJsonl(result) << "\n";
+    out_.flush();
     if (!out_)
         fatal("JsonlSink: write failed after %zu line(s)", written_);
     ++written_;
     return true;
-}
-
-void
-JsonlSink::finish()
-{
-    out_.flush();
 }
 
 } // namespace camj

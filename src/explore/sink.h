@@ -111,9 +111,9 @@ class InOrderSink : public ResultSink
 
 /**
  * Index-remapping adapter: rewrites each result's stream index
- * through a mapper before forwarding. The shard runner composes
- * InOrderSink -> ReindexSink -> JsonlSink: the engine and the
- * in-order adapter see a shard's dense LOCAL indices (0, 1, ...),
+ * through a mapper before forwarding. runShard (explore/jsonl.h)
+ * composes InOrderSink -> ReindexSink -> JsonlSink: the engine and
+ * the in-order adapter see a shard's dense LOCAL indices (0, 1, ...),
  * while the JSONL lines carry the GLOBAL grid indices the merge
  * reducer keys on (assignment.globalIndex).
  */
@@ -166,7 +166,9 @@ class TopKSink : public ResultSink
  * cross-process sharding format: each shard of a spec batch appends
  * its lines, and a reducer merges shard files by the "index" member.
  * Lines carry the verdict, per-category energies [J], totals, and the
- * noise metric; they do not embed the full per-unit report.
+ * noise metric; they do not embed the full per-unit report. Every
+ * line is flushed as it is written, so a reader tailing the file (the
+ * sweep service's monitor) sees each result as soon as it lands.
  */
 class JsonlSink : public ResultSink
 {
@@ -175,7 +177,6 @@ class JsonlSink : public ResultSink
     explicit JsonlSink(std::ostream &out) : out_(out) {}
 
     bool accept(SweepResult result) override;
-    void finish() override;
 
     size_t written() const { return written_; }
 

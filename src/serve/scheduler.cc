@@ -15,12 +15,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "analysis/analyzer.h"
 #include "analysis/grid_analyzer.h"
+#include "analysis/lint_command.h"
 #include "common/logging.h"
 #include "explore/jsonl.h"
-#include "explore/sink.h"
-#include "explore/sweep.h"
 #include "serve/protocol.h"
 #include "spec/shard.h"
 
@@ -31,56 +29,6 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
-
-/** JsonlSink with a per-line flush, so the monitor can tail an
- *  in-process worker's attempt file while the worker runs. The bytes
- *  are sweepResultToJsonl verbatim — identical to JsonlSink's. */
-class FlushedJsonlSink : public ResultSink
-{
-  public:
-    explicit FlushedJsonlSink(std::ofstream &out) : out_(out) {}
-
-    bool accept(SweepResult result) override
-    {
-        out_ << sweepResultToJsonl(result) << "\n";
-        out_.flush();
-        if (!out_)
-            fatal("serve: worker attempt-file write failed");
-        return true;
-    }
-
-  private:
-    std::ofstream &out_;
-};
-
-/** Fault injection: cancels the sweep (accept -> false) after a
- *  fixed number of accepted results, simulating a worker dying with
- *  a partial attempt file on disk. */
-class LimitSink : public ResultSink
-{
-  public:
-    LimitSink(ResultSink &inner, size_t limit, bool enabled)
-        : inner_(inner), remaining_(limit), enabled_(enabled)
-    {
-    }
-
-    bool accept(SweepResult result) override
-    {
-        if (enabled_) {
-            if (remaining_ == 0)
-                return false;
-            --remaining_;
-        }
-        return inner_.accept(std::move(result));
-    }
-
-    void finish() override { inner_.finish(); }
-
-  private:
-    ResultSink &inner_;
-    size_t remaining_;
-    bool enabled_;
-};
 
 /**
  * The incremental in-order merge: the streaming twin of
@@ -228,39 +176,30 @@ Scheduler::submit(const std::string &doc_text, int frames,
 {
     Admission adm;
 
-    // Admission lint, stage 1: the raw document through the full
-    // static-analysis rule set (a parse failure becomes one
-    // diagnostic carrying its thrown code).
-    json::Value raw;
-    try {
-        raw = json::Value::parse(doc_text);
-    } catch (const ConfigError &e) {
+    // Admission is the lint gate: the same check `camj_lint` runs, so
+    // a document is served exactly when it lints clean.
+    analysis::DocumentCheck check =
+        analysis::checkSweepDocument(doc_text);
+    adm.diagnostics = std::move(check.diagnostics);
+    switch (check.failed) {
+      case analysis::DocumentCheck::Stage::Passed:
+        break;
+      case analysis::DocumentCheck::Stage::Parse:
         adm.reason = "document does not parse";
-        adm.diagnostics.push_back(analysis::makeError(e));
         return adm;
-    }
-    analysis::SpecAnalyzer analyzer;
-    adm.diagnostics = analyzer.analyzeDocument(raw);
-    if (analysis::hasErrors(adm.diagnostics)) {
+      case analysis::DocumentCheck::Stage::Analysis:
         adm.reason = "static analysis found errors";
         return adm;
-    }
-
-    // Stage 2: the sweep document itself (grid validation).
-    spec::SweepDocument doc;
-    try {
-        doc = spec::sweepDocumentFromJson(doc_text);
-        adm.points = doc.grid.points();
-        // Stage 3: the grid infeasibility prefilter. Provably doomed
-        // points are REPORTED, not pruned — the served stream must
-        // stay byte-identical to a local run over the full grid.
-        analysis::PrefilterSpecSource prefilter(doc);
-        adm.pruned = prefilter.prunedIndices().size();
-    } catch (const ConfigError &e) {
+      case analysis::DocumentCheck::Stage::Document:
         adm.reason = "invalid sweep document";
-        adm.diagnostics.push_back(analysis::makeError(e));
         return adm;
     }
+    spec::SweepDocument doc = std::move(*check.document);
+    adm.points = doc.grid.points();
+    // Provably doomed points are REPORTED, not pruned: the served
+    // stream must stay byte-identical to a local run over the full
+    // grid.
+    adm.pruned = analysis::GridAnalyzer().analyze(doc).prunedPoints();
 
     std::lock_guard<std::mutex> lock(threadsMutex_);
     if (stopped_) {
@@ -364,31 +303,30 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
                 if (!out)
                     fatal("serve: worker cannot write '%s'",
                           path.c_str());
-                spec::ShardSpecSource source(*parent, a);
                 SweepOptions options;
                 options.threads = threads;
                 options.sim.frames = frames;
                 options.incremental = true;
                 options.cacheDir = cache_dir;
-                SweepEngine engine(options);
-                // The exact sink chain of `camj_sweep run`: local
-                // stream order -> global grid identity -> bytes.
-                FlushedJsonlSink lines(out);
-                LimitSink limited(
-                    lines, std::max<size_t>(a.count() / 2, 1),
-                    inject);
-                ReindexSink global(limited, [a](size_t local) {
-                    return a.globalIndex(local);
-                });
-                InOrderSink ordered(global);
+                // Fault injection: die after writing the first half
+                // of the shard, leaving a partial attempt file.
+                spec::ShardAssignment run = a;
+                if (inject) {
+                    const size_t n =
+                        a.count() > 1 ? a.count() / 2 : a.count();
+                    std::vector<size_t> half;
+                    for (size_t i = 0; i < n; ++i)
+                        half.push_back(a.globalIndex(i));
+                    run = spec::explicitShard(a.total, std::move(half));
+                }
                 const StreamStats stats =
-                    engine.runStream(source, ordered, &job->cancel);
+                    runShard(*parent, run, options, out, &job->cancel);
                 job->cacheHits.fetch_add(stats.outcomeCacheHits,
                                          std::memory_order_relaxed);
                 if (job->cancel.cancelled())
                     v = kJobCancelled;
-                else if (stats.cancelled)
-                    v = kFailed; // the injected mid-shard death
+                else if (inject)
+                    v = kFailed;
             } catch (const std::exception &e) {
                 *fail_text = e.what();
                 v = kFailed;

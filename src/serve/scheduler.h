@@ -3,21 +3,20 @@
  * The sweep-service scheduler: admission, shard dispatch, failure
  * recovery, and the incremental in-order merge.
  *
- * Admission runs the full static-analysis stack BEFORE any worker
- * spins up — SpecAnalyzer::analyzeDocument over the raw JSON (a parse
- * failure becomes one diagnostic with its thrown code), then grid
- * expansion, then the PrefilterSpecSource infeasibility analysis.
- * Documents with error diagnostics are rejected with their CAMJ-*
- * codes; provably infeasible points are REPORTED but still evaluated,
- * because pruning would change the output bytes and the service's
- * contract is byte-identity with a local `camj_sweep run`.
+ * Admission is the lint gate, BEFORE any worker spins up:
+ * analysis::checkSweepDocument, the check `camj_lint` runs, so a
+ * document is rejected with exactly the CAMJ-* codes and paths lint
+ * prints. The GridAnalyzer's provably infeasible points are REPORTED
+ * but still evaluated, because pruning would change the output bytes
+ * and the service's contract is byte-identity with a local
+ * `camj_sweep run`.
  *
  * Each admitted job gets its own thread running the dispatch/monitor
  * loop: planShards partitions the grid, every shard runs as either an
- * in-process worker (a SweepEngine over a ShardSpecSource on a
+ * in-process worker (runShard over the job's one parent grid, on a
  * std::thread) or a subprocess worker (fork/exec of `camj_sweep run`
  * over a shard descriptor file), and every attempt writes an ordinary
- * shard JSONL file. The monitor tails those files, folding complete
+ * shard JSONL file through runShard. The monitor tails those files, folding complete
  * lines into the merge state — at-least-once dispatch made
  * exactly-once output by construction: a failed, killed, or stalled
  * attempt is salvaged up to its last complete line, the shard's

@@ -34,7 +34,8 @@ shardModeFromName(const std::string &name)
         return ShardMode::Strided;
     if (name == "explicit")
         return ShardMode::Explicit;
-    fatal("shard: unknown mode '%s' (known: contiguous, strided, "
+    fatal(RuleCode::E018,
+          "shard: unknown mode '%s' (known: contiguous, strided, "
           "explicit)", name.c_str());
 }
 
@@ -71,12 +72,14 @@ void
 ShardAssignment::validate() const
 {
     if (shardCount == 0)
-        fatal("shard: shardCount must be >= 1");
+        fatal(RuleCode::E018, "shard: shardCount must be >= 1");
     if (shardIndex >= shardCount)
-        fatal("shard: index %zu out of range (plan has %zu shards)",
+        fatal(RuleCode::E018,
+              "shard: index %zu out of range (plan has %zu shards)",
               shardIndex, shardCount);
     if (begin > end || end > total)
-        fatal("shard %zu/%zu: range [%zu, %zu) does not fit in "
+        fatal(RuleCode::E018,
+              "shard %zu/%zu: range [%zu, %zu) does not fit in "
               "[0, %zu)", shardIndex, shardCount, begin, end, total);
     if (mode == ShardMode::Strided && count() > 0 &&
         globalIndex(count() - 1) >= total)
@@ -85,15 +88,18 @@ ShardAssignment::validate() const
     if (mode == ShardMode::Explicit) {
         for (size_t i = 0; i < indices.size(); ++i) {
             if (indices[i] >= total)
-                fatal("shard: explicit index %zu out of range "
+                fatal(RuleCode::E018,
+                      "shard: explicit index %zu out of range "
                       "[0, %zu)", indices[i], total);
             if (i > 0 && indices[i] <= indices[i - 1])
-                fatal("shard: explicit index list must be strictly "
+                fatal(RuleCode::E018,
+                      "shard: explicit index list must be strictly "
                       "ascending (%zu follows %zu)", indices[i],
                       indices[i - 1]);
         }
     } else if (!indices.empty()) {
-        fatal("shard: %s mode does not take an index list",
+        fatal(RuleCode::E018,
+              "shard: %s mode does not take an index list",
               shardModeName(mode).c_str());
     }
 }
@@ -222,7 +228,8 @@ shardFromJson(const Value &block)
     auto member = [&](const char *key) {
         const int64_t v = block.at(key).asInt();
         if (v < 0)
-            fatal("shard: member '%s' is negative (%lld)", key,
+            fatal(RuleCode::E018,
+                  "shard: member '%s' is negative (%lld)", key,
                   static_cast<long long>(v));
         return static_cast<size_t>(v);
     };
@@ -235,7 +242,8 @@ shardFromJson(const Value &block)
         for (const Value &v : block.at("indices").asArray()) {
             const int64_t i = v.asInt();
             if (i < 0)
-                fatal("shard: negative explicit index %lld",
+                fatal(RuleCode::E018,
+                      "shard: negative explicit index %lld",
                       static_cast<long long>(i));
             a.indices.push_back(static_cast<size_t>(i));
         }
@@ -272,7 +280,8 @@ shardDescriptorFromJson(const std::string &text)
         out.shard = planShards(points, 1).shards.front();
     }
     if (out.shard.total != points)
-        fatal("shard: descriptor says %zu total points but its own "
+        fatal(RuleCode::E018,
+              "shard: descriptor says %zu total points but its own "
               "sweepGrid expands to %zu — the plan and the document "
               "disagree", out.shard.total, points);
     return out;

@@ -126,7 +126,7 @@ ShardPlan planShards(size_t total, size_t shard_count,
  * numbered by LOCAL stream index (0-based, dense) so InOrderSink and
  * StreamStats behave as for any other source. Map results back to
  * grid identity with assignment().globalIndex(result.index) — or let
- * ReindexSink do it (see explore/sink.h).
+ * runShard do it (see explore/jsonl.h).
  *
  * Supports concurrent pulls; @p parent must outlive the source and
  * its at() must be thread-safe (GridSpecSource and VectorSpecSource

@@ -491,10 +491,12 @@ ComponentSpec::instantiate() const
         return makeSampleHold(conv);
       case ComponentKind::Custom: {
         if (custom.name.empty())
-            fatal("ComponentSpec: custom component field 'custom.name' "
+            fatal(RuleCode::E014,
+                  "ComponentSpec: custom component field 'custom.name' "
                   "is empty");
         if (custom.cells.empty())
-            fatal("ComponentSpec: custom component '%s' field "
+            fatal(RuleCode::E014,
+                  "ComponentSpec: custom component '%s' field "
                   "'custom.cells' is empty (a cell chain needs at "
                   "least one cell)", custom.name.c_str());
         AComponent c(custom.name, custom.input, custom.output);

@@ -273,8 +273,6 @@ cmdRun(int argc, char **argv)
         fatal("run: cannot write '%s'", out_path.c_str());
 
     spec::GridSpecSource grid = descriptor.gridSource();
-    spec::ShardSpecSource source(grid, descriptor.shard);
-
     SweepOptions options;
     options.threads = threads;
     options.sim.frames = frames;
@@ -285,23 +283,14 @@ cmdRun(int argc, char **argv)
     // Shard processes re-running (or re-trying) overlapping index
     // ranges share finished outcomes through the on-disk store.
     options.cacheDir = cache_dir;
-    SweepEngine engine(options);
-
-    // Local stream order -> global grid identity -> bytes: the
-    // in-order adapter guarantees ascending-index shard files (what
-    // the merge's one-line lookahead relies on).
-    JsonlSink lines(out);
-    ReindexSink global(lines, [&](size_t local) {
-        return descriptor.shard.globalIndex(local);
-    });
-    InOrderSink ordered(global);
-    const StreamStats stats = engine.runStream(source, ordered);
+    const StreamStats stats =
+        runShard(grid, descriptor.shard, options, out);
 
     std::printf("shard %zu/%zu: evaluated %zu of %zu global point(s) "
                 "-> %s (%zu line(s))\n", descriptor.shard.shardIndex,
                 descriptor.shard.shardCount, stats.delivered,
                 descriptor.shard.total, out_path.c_str(),
-                lines.written());
+                stats.delivered);
     if (verbose) {
         const CycleSimStats &cs = stats.cycleSim;
         const int64_t total = cs.cyclesTicked + cs.cyclesFastForwarded;

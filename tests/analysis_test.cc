@@ -36,7 +36,6 @@ namespace fs = std::filesystem;
 using analysis::Diagnostic;
 using analysis::GridAnalysis;
 using analysis::GridAnalyzer;
-using analysis::PrefilterSpecSource;
 using analysis::Severity;
 using analysis::SpecAnalyzer;
 
@@ -231,6 +230,15 @@ const ErrorDefect kErrorDefects[] = {
      "analogArrays[PixelArray].component.aps.pixelsPerComponent",
      [](spec::DesignSpec &s) {
          s.analogArrays[0].component.aps.pixelsPerComponent = 0;
+     }},
+    {"CAMJ-E014", "analogArrays[PixelArray].component.custom.cells",
+     [](spec::DesignSpec &s) {
+         // A custom pixel component with an empty cell chain.
+         spec::ComponentSpec &c = s.analogArrays[0].component;
+         c.kind = spec::ComponentKind::Custom;
+         c.custom.name = "BarePixel";
+         c.custom.input = SignalDomain::Optical;
+         c.custom.output = SignalDomain::Voltage;
      }},
     {"CAMJ-E015", "analogArrays[Adc].component",
      [](spec::DesignSpec &s) {
@@ -522,25 +530,9 @@ TEST(GridAnalysis, DoomsExactlyTheProvablyInfeasibleValues)
     }
 }
 
-TEST(GridAnalysis, NeverPrunesAFeasiblePoint)
-{
-    const spec::SweepDocument doc = widenedStudy();
-    const GridAnalysis result = GridAnalyzer().analyze(doc);
-    spec::GridSpecSource grid = doc.source();
-    SimulationOptions options;
-    options.checkMode = CheckMode::Report;
-    const Simulator sim(options);
-    for (size_t i = 0; i < grid.totalPoints(); ++i) {
-        if (!result.doomed(i))
-            continue;
-        const SimulationOutcome out = sim.run(grid.at(i));
-        EXPECT_FALSE(out.feasible)
-            << "point " << i << " pruned but simulates feasibly:\n"
-            << analysis::formatDiagnostics(result.justification(i));
-    }
-}
-
-TEST(GridAnalysis, PointListModeEvaluatesEachPoint)
+/** The point-list form of a grid: one good point and two doomed. */
+spec::SweepDocument
+pointListStudy()
 {
     spec::SweepDocument doc;
     doc.base = spec::sampleDetectorSpec(30.0, 65);
@@ -551,7 +543,36 @@ TEST(GridAnalysis, PointListModeEvaluatesEachPoint)
         {json::Value(60.0), json::Value(254)},
         {json::Value(-1.0), json::Value(65)},
     };
-    const GridAnalysis result = GridAnalyzer().analyze(doc);
+    return doc;
+}
+
+TEST(GridAnalysis, NeverPrunesAFeasiblePoint)
+{
+    SimulationOptions options;
+    options.checkMode = CheckMode::Report;
+    const Simulator sim(options);
+    for (const spec::SweepDocument &doc :
+         {widenedStudy(), pointListStudy()}) {
+        const GridAnalysis result = GridAnalyzer().analyze(doc);
+        EXPECT_GT(result.prunedPoints(), 0u);
+        spec::GridSpecSource grid = doc.source();
+        for (size_t i = 0; i < grid.totalPoints(); ++i) {
+            if (!result.doomed(i))
+                continue;
+            const SimulationOutcome out = sim.run(grid.at(i));
+            EXPECT_FALSE(out.feasible)
+                << (doc.grid.pointList.empty() ? "cartesian"
+                                               : "point-list")
+                << " grid point " << i
+                << " pruned but simulates feasibly:\n"
+                << analysis::formatDiagnostics(result.justification(i));
+        }
+    }
+}
+
+TEST(GridAnalysis, PointListModeEvaluatesEachPoint)
+{
+    const GridAnalysis result = GridAnalyzer().analyze(pointListStudy());
     EXPECT_EQ(result.totalPoints(), 3u);
     EXPECT_FALSE(result.doomed(0));
     EXPECT_TRUE(result.doomed(1));
@@ -559,67 +580,15 @@ TEST(GridAnalysis, PointListModeEvaluatesEachPoint)
     EXPECT_EQ(result.prunedPoints(), 2u);
 }
 
-// ------------------------------------------------------------ prefilter
-
-TEST(Prefilter, CanonicalStudyPassesThroughUntouched)
+TEST(GridAnalysis, CanonicalStudyPassesThroughUntouched)
 {
-    const spec::SweepDocument doc = spec::sampleDetectorStudy();
-    PrefilterSpecSource filtered(doc);
-    EXPECT_EQ(filtered.totalPoints(), 108u);
-    EXPECT_TRUE(filtered.prunedIndices().empty())
-        << filtered.analysis().summary();
-    // Identity against the unfiltered grid, point by point.
-    spec::GridSpecSource grid = doc.source();
-    for (size_t i = 0; i < filtered.totalPoints(); ++i) {
-        EXPECT_EQ(filtered.globalIndex(i), i);
-        EXPECT_EQ(filtered.at(i).name, grid.at(i).name);
-    }
-}
-
-TEST(Prefilter, SkipsDoomedPointsAndKeepsGlobalIdentity)
-{
-    const spec::SweepDocument doc = widenedStudy();
-    PrefilterSpecSource filtered(doc);
-    EXPECT_EQ(filtered.totalPoints() + filtered.prunedIndices().size(),
-              12u);
-    EXPECT_EQ(filtered.totalPoints(), 2u);
-
-    spec::GridSpecSource grid = doc.source();
-    for (size_t local = 0; local < filtered.totalPoints(); ++local) {
-        const size_t global = filtered.globalIndex(local);
-        EXPECT_FALSE(filtered.analysis().doomed(global));
-        EXPECT_EQ(filtered.at(local).name, grid.at(global).name);
-    }
-    // Stream interface: local indices are dense and exhaustive.
-    size_t streamed = 0, index = 0;
-    while (filtered.nextIndexed(index)) {
-        EXPECT_EQ(index, streamed);
-        ++streamed;
-    }
-    EXPECT_EQ(streamed, filtered.totalPoints());
-    // changedPaths delegates through global indices.
-    if (filtered.totalPoints() >= 2) {
-        const auto paths = filtered.changedPaths(0, 1);
-        const auto expected = grid.changedPaths(
-            filtered.globalIndex(0), filtered.globalIndex(1));
-        ASSERT_TRUE(paths.has_value());
-        ASSERT_TRUE(expected.has_value());
-        EXPECT_EQ(*paths, *expected);
-    }
-}
-
-TEST(Prefilter, EveryPrunedPointIsActuallyInfeasible)
-{
-    const spec::SweepDocument doc = widenedStudy();
-    PrefilterSpecSource filtered(doc);
-    spec::GridSpecSource grid = doc.source();
-    SimulationOptions options;
-    options.checkMode = CheckMode::Report;
-    const Simulator sim(options);
-    for (size_t global : filtered.prunedIndices()) {
-        const SimulationOutcome out = sim.run(grid.at(global));
-        EXPECT_FALSE(out.feasible)
-            << "pruned point " << global << " simulates feasibly";
+    const GridAnalysis result =
+        GridAnalyzer().analyze(spec::sampleDetectorStudy());
+    EXPECT_EQ(result.totalPoints(), 108u);
+    EXPECT_EQ(result.prunedPoints(), 0u) << result.summary();
+    for (size_t i = 0; i < result.totalPoints(); ++i) {
+        EXPECT_FALSE(result.doomed(i)) << "point " << i;
+        EXPECT_TRUE(result.justification(i).empty()) << "point " << i;
     }
 }
 

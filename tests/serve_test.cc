@@ -11,14 +11,17 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -244,6 +247,98 @@ TEST(Admission, RejectionReachesTheClientWithItsRuleCodes)
     }
     EXPECT_TRUE(out.str().empty());
 }
+
+#ifdef CAMJ_LINT_BIN
+
+/** "error CAMJ-E003 at sweepGrid.axes[0].path" for every error line
+ *  of @p text (camj_lint's stdout), in order. */
+std::vector<std::string>
+errorSites(const std::string &text)
+{
+    std::vector<std::string> sites;
+    std::istringstream lines(text);
+    std::string line;
+    while (std::getline(lines, line)) {
+        const size_t at = line.find("error CAMJ-");
+        if (at == std::string::npos)
+            continue;
+        sites.push_back(line.substr(at, line.find(": ", at) - at));
+    }
+    return sites;
+}
+
+TEST(Admission, RejectsWithExactlyTheErrorsCamjLintPrints)
+{
+    // The error documents of CamjSweepCli.LintMatchesCamjLint.
+    const fs::path dir = scratchDir("serve_admit_lint_parity");
+    std::ifstream in(fs::path(CAMJ_EXAMPLES_DIR) / "detector_sweep.json",
+                     std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const std::string text = buf.str();
+    ASSERT_FALSE(text.empty());
+
+    json::Value dangling = json::Value::parse(text);
+    dangling.find("sweepGrid")->find("axes")->mutableArray()[0].set(
+        "path", json::Value("memories[Nope].nodeNm"));
+    json::Value empty_axis = json::Value::parse(text);
+    empty_axis.find("sweepGrid")->find("axes")->mutableArray()[2].set(
+        "values", json::Value::makeArray());
+    json::Value bad_value = json::Value::parse(text);
+    bad_value.find("sweepGrid")->find("axes")->mutableArray()[0]
+        .find("values")->mutableArray()[0] = json::Value("fast");
+    const struct
+    {
+        const char *name;
+        std::string doc;
+        const char *site; // the error lint must report
+    } cases[] = {
+        {"dangling", dangling.dump(),
+         "error CAMJ-E003 at sweepGrid.axes[0].path"},
+        {"empty_axis", empty_axis.dump(), "error CAMJ-E018"},
+        {"bad_value", bad_value.dump(), "error CAMJ-E018"},
+        {"truncated", text.substr(0, text.size() / 2),
+         "error CAMJ-E018"},
+    };
+
+    serve::JobRegistry registry;
+    serve::Scheduler scheduler(inProcessOptions(dir), registry);
+    for (const auto &c : cases) {
+        const fs::path file = dir / (std::string(c.name) + ".json");
+        {
+            std::ofstream out(file, std::ios::binary);
+            out << c.doc;
+        }
+        const fs::path lint_out = dir / "lint.txt";
+        const int status = std::system(
+            (std::string(CAMJ_LINT_BIN) + " " + file.string() + " > " +
+             lint_out.string() + " 2>/dev/null")
+                .c_str());
+        ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1)
+            << c.name;
+        std::ifstream lint_in(lint_out, std::ios::binary);
+        std::ostringstream lint_text;
+        lint_text << lint_in.rdbuf();
+        const std::vector<std::string> linted =
+            errorSites(lint_text.str());
+        EXPECT_EQ(linted, std::vector<std::string>{c.site})
+            << c.name << ":\n" << lint_text.str();
+
+        const serve::Scheduler::Admission adm = scheduler.submit(c.doc);
+        EXPECT_EQ(adm.job, nullptr) << c.name;
+        std::vector<std::string> admitted;
+        for (const analysis::Diagnostic &d : adm.diagnostics) {
+            if (d.severity == analysis::Severity::Error)
+                admitted.push_back(
+                    "error " + d.code +
+                    (d.path.empty() ? "" : " at " + d.path));
+        }
+        EXPECT_EQ(admitted, linted) << c.name << ": " << adm.reason;
+    }
+    EXPECT_TRUE(registry.jobs().empty());
+}
+
+#endif // CAMJ_LINT_BIN
 
 // -------------------------------------------------------- the contract
 

@@ -288,6 +288,40 @@ TEST(ShardDescriptor, RejectsPlanDisagreeingWithItsOwnGrid)
     EXPECT_THROW(spec::shardDescriptorFromJson(text), ConfigError);
 }
 
+TEST(ShardDescriptor, MalformedDescriptorsAreE018)
+{
+    const spec::SweepDocument doc = smallStudy(); // 12 points
+    const json::Value good = json::Value::parse(spec::shardDescriptorToJson(
+        {doc, spec::explicitShard(12, {1, 3, 5})}));
+    const auto shardBlock = [](json::Value &d) -> json::Value & {
+        return *d.find("shard");
+    };
+    std::vector<json::Value> bad(5, good);
+    shardBlock(bad[0]).set("mode", json::Value("diagonal"));
+    shardBlock(bad[1]).find("indices")->mutableArray()[1] =
+        json::Value(1); // 1, 1, 5: not strictly ascending
+    shardBlock(bad[2]).set("index", json::Value(-1));
+    shardBlock(bad[3]).find("indices")->mutableArray()[0] =
+        json::Value(-2);
+    shardBlock(bad[4]).set("total", json::Value(13));
+    for (size_t i = 0; i < bad.size(); ++i) {
+        try {
+            spec::shardDescriptorFromJson(bad[i].dump(2));
+            ADD_FAILURE() << "malformed descriptor " << i << " loaded";
+        } catch (const ConfigError &e) {
+            EXPECT_EQ(e.code(), RuleCode::E018)
+                << "descriptor " << i << ": " << e.what();
+        }
+    }
+    // API misuse by a library caller is not a document defect.
+    try {
+        spec::planShards(12, 0);
+        ADD_FAILURE() << "zero shards planned";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(e.code(), RuleCode::D003) << e.what();
+    }
+}
+
 TEST(ShardDescriptor, WriteShardPlanEmitsLoadableFiles)
 {
     const fs::path dir = scratchDir("plan_files");
