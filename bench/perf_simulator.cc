@@ -1051,9 +1051,9 @@ writeBenchJson()
     // Sharded sweep: the multi-PROCESS pipeline. The canonical
     // 108-point grid document once in this process (runShard: 1
     // thread, incremental, in-order JSONL) and once as 4 forked
-    // runShard workers — the
-    // camj_sweep plan/run/merge deployment shape — then the stream
-    // merge, which must reproduce the 1-process bytes exactly.
+    // runShard workers — the camj_sweep plan/run/merge deployment
+    // shape — then the stream merge, which must reproduce the
+    // 1-process bytes exactly.
     const spec::SweepDocument sharded_doc = shardedStudyDocument();
     const size_t n_sharded = sharded_doc.grid.points();
     const size_t n_shards = 4;
@@ -1412,10 +1412,9 @@ writeBenchJson()
     // Server (2 in-process shard workers), a Client submitting the
     // canonical study over TCP and streaming the merged results —
     // against the same study through an in-process runShard. Both
-    // sides evaluate incrementally (the served workers' mode), so
-    // overheadRatio is the service's cost over the library path.
-    // The tracked numbers are the service's throughput and its
-    // overhead ratio over the library path; the streamed bytes must
+    // sides evaluate incrementally (the served workers' mode), so the
+    // overhead ratio compares like with like. The tracked numbers are
+    // the service's throughput and that ratio; the streamed bytes must
     // be byte-identical to the local run, because that identity IS
     // the service contract.
     const spec::SweepDocument served_doc = shardedStudyDocument();

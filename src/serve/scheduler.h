@@ -16,8 +16,8 @@
  * in-process worker (runShard over the job's one parent grid, on a
  * std::thread) or a subprocess worker (fork/exec of `camj_sweep run`
  * over a shard descriptor file), and every attempt writes an ordinary
- * shard JSONL file through runShard. The monitor tails those files, folding complete
- * lines into the merge state — at-least-once dispatch made
+ * shard JSONL file through runShard. The monitor tails those files,
+ * folding complete lines into the merge state — at-least-once dispatch made
  * exactly-once output by construction: a failed, killed, or stalled
  * attempt is salvaged up to its last complete line, the shard's
  * still-missing indices are re-dispatched as ONE explicitShard over
