@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "analysis/analyzer.h"
-#include "analysis/grid_analyzer.h"
 #include "common/logging.h"
 #include "spec/grid.h"
 
@@ -39,9 +38,8 @@ lintFile(const std::string &path, bool quiet, size_t &errors,
     errors += file_errors;
     warnings += file_warnings;
 
-    if (check.document && check.document->grid.points() > 1) {
-        const GridAnalysis result =
-            GridAnalyzer().analyze(*check.document);
+    if (check.grid && check.grid->totalPoints() > 1) {
+        const GridAnalysis &result = *check.grid;
         std::fputs(result.summary().c_str(), stdout);
         if (!quiet)
             std::printf("%s: grid expands to %zu point(s), %zu "
@@ -82,6 +80,7 @@ checkSweepDocument(const std::string &text)
         }
         // Opening the grid probes every axis value, as a run does.
         sweep.source();
+        check.grid = GridAnalyzer().analyze(sweep);
         check.document = std::move(sweep);
     } catch (const ConfigError &e) {
         check.diagnostics.push_back(makeError(e));

@@ -5,7 +5,9 @@
  * one of them accepts none of the others rejects. checkSweepDocument()
  * runs SpecAnalyzer::analyzeDocument, then parses the sweep document,
  * probes its axis paths (checkAxisPaths) and opens the grid, the way
- * `camj_sweep run` does. lintCommand() is the command-line front end
+ * `camj_sweep run` does; an accepted document's grid then goes through
+ * the GridAnalyzer once, for lint's summary and admission's pruned
+ * count. lintCommand() is the command-line front end
  * both lint tools call, so they print the same findings and exit the
  * same way.
  */
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "analysis/diagnostic.h"
+#include "analysis/grid_analyzer.h"
 #include "spec/grid.h"
 
 namespace camj::analysis
@@ -46,6 +49,8 @@ struct DocumentCheck
     std::vector<Diagnostic> diagnostics;
     /** The parsed sweep document; set only when failed == Passed. */
     std::optional<spec::SweepDocument> document;
+    /** GridAnalyzer's verdict on document's grid; set with it. */
+    std::optional<GridAnalysis> grid;
 };
 
 /** Check one sweep (or plain spec) document's text. Never throws

@@ -15,7 +15,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "analysis/grid_analyzer.h"
 #include "analysis/lint_command.h"
 #include "common/logging.h"
 #include "explore/jsonl.h"
@@ -199,7 +198,7 @@ Scheduler::submit(const std::string &doc_text, int frames,
     // Provably doomed points are REPORTED, not pruned: the served
     // stream must stay byte-identical to a local run over the full
     // grid.
-    adm.pruned = analysis::GridAnalyzer().analyze(doc).prunedPoints();
+    adm.pruned = check.grid->prunedPoints();
 
     std::lock_guard<std::mutex> lock(threadsMutex_);
     if (stopped_) {

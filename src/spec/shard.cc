@@ -72,14 +72,12 @@ void
 ShardAssignment::validate() const
 {
     if (shardCount == 0)
-        fatal(RuleCode::E018, "shard: shardCount must be >= 1");
+        fatal("shard: shardCount must be >= 1");
     if (shardIndex >= shardCount)
-        fatal(RuleCode::E018,
-              "shard: index %zu out of range (plan has %zu shards)",
+        fatal("shard: index %zu out of range (plan has %zu shards)",
               shardIndex, shardCount);
     if (begin > end || end > total)
-        fatal(RuleCode::E018,
-              "shard %zu/%zu: range [%zu, %zu) does not fit in "
+        fatal("shard %zu/%zu: range [%zu, %zu) does not fit in "
               "[0, %zu)", shardIndex, shardCount, begin, end, total);
     if (mode == ShardMode::Strided && count() > 0 &&
         globalIndex(count() - 1) >= total)
@@ -88,18 +86,15 @@ ShardAssignment::validate() const
     if (mode == ShardMode::Explicit) {
         for (size_t i = 0; i < indices.size(); ++i) {
             if (indices[i] >= total)
-                fatal(RuleCode::E018,
-                      "shard: explicit index %zu out of range "
+                fatal("shard: explicit index %zu out of range "
                       "[0, %zu)", indices[i], total);
             if (i > 0 && indices[i] <= indices[i - 1])
-                fatal(RuleCode::E018,
-                      "shard: explicit index list must be strictly "
+                fatal("shard: explicit index list must be strictly "
                       "ascending (%zu follows %zu)", indices[i],
                       indices[i - 1]);
         }
     } else if (!indices.empty()) {
-        fatal(RuleCode::E018,
-              "shard: %s mode does not take an index list",
+        fatal("shard: %s mode does not take an index list",
               shardModeName(mode).c_str());
     }
 }
@@ -248,7 +243,13 @@ shardFromJson(const Value &block)
             a.indices.push_back(static_cast<size_t>(i));
         }
     }
-    a.validate();
+    // A library caller's bad assignment is API misuse (D003); the
+    // same defect read from a document is a malformed document.
+    try {
+        a.validate();
+    } catch (const ConfigError &e) {
+        throw ConfigError(e.what(), RuleCode::E018);
+    }
     return a;
 }
 

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -296,7 +297,7 @@ TEST(ShardDescriptor, MalformedDescriptorsAreE018)
     const auto shardBlock = [](json::Value &d) -> json::Value & {
         return *d.find("shard");
     };
-    std::vector<json::Value> bad(5, good);
+    std::vector<json::Value> bad(6, good);
     shardBlock(bad[0]).set("mode", json::Value("diagonal"));
     shardBlock(bad[1]).find("indices")->mutableArray()[1] =
         json::Value(1); // 1, 1, 5: not strictly ascending
@@ -304,6 +305,7 @@ TEST(ShardDescriptor, MalformedDescriptorsAreE018)
     shardBlock(bad[3]).find("indices")->mutableArray()[0] =
         json::Value(-2);
     shardBlock(bad[4]).set("total", json::Value(13));
+    shardBlock(bad[5]).set("index", json::Value(3)); // plan has 1 shard
     for (size_t i = 0; i < bad.size(); ++i) {
         try {
             spec::shardDescriptorFromJson(bad[i].dump(2));
@@ -313,13 +315,23 @@ TEST(ShardDescriptor, MalformedDescriptorsAreE018)
                 << "descriptor " << i << ": " << e.what();
         }
     }
-    // API misuse by a library caller is not a document defect.
-    try {
-        spec::planShards(12, 0);
-        ADD_FAILURE() << "zero shards planned";
-    } catch (const ConfigError &e) {
-        EXPECT_EQ(e.code(), RuleCode::D003) << e.what();
-    }
+    // API misuse by a library caller is not a document defect, even
+    // where the same check rejects a descriptor.
+    const auto expectD003 = [](const std::function<void()> &call) {
+        try {
+            call();
+            ADD_FAILURE() << "API misuse accepted";
+        } catch (const ConfigError &e) {
+            EXPECT_EQ(e.code(), RuleCode::D003) << e.what();
+        }
+    };
+    expectD003([] { spec::planShards(12, 0); });
+    expectD003([] { spec::explicitShard(12, {3, 1}); });
+    expectD003([] {
+        spec::ShardAssignment a = spec::planShards(12, 2).shards[0];
+        a.shardIndex = 2;
+        a.validate();
+    });
 }
 
 TEST(ShardDescriptor, WriteShardPlanEmitsLoadableFiles)
