@@ -18,13 +18,10 @@
  * grid, plus the merge), the statically prefiltered sweep (a
  * widened grid with provably infeasible axis values, pruned by
  * GridAnalyzer with zero tolerated false positives), the strided
- * sweep (the gen-2 compiled-point LRU under a stride-12 shard order,
- * against a gen-1 last-point-only emulation), the cached sweep
- * (the content-addressed on-disk outcome store, cold vs. warm), the
- * cycle-sim engine pair (a cycle-dominated frame through the
- * fast-forward engine vs. the tick-loop reference — counters must be
- * bit-identical and the speedup must clear 5x), and a per-stage
- * wall-clock profile of EvalPipeline over the canonical grid, so
+ * sweep (the compiled-point LRU under a stride-12 shard order,
+ * against full rebuilds), the cached sweep (the content-addressed
+ * on-disk outcome store, cold vs. warm), and a per-stage wall-clock
+ * profile of EvalPipeline over the canonical grid, so
  * CI can track the simulator's evaluation-throughput trajectory
  * across PRs. Every cached/incremental section hard-fails unless its
  * output is byte-identical to a full rebuild.
@@ -46,7 +43,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -65,7 +61,6 @@
 #include "core/pipeline.h"
 #include "serve/client.h"
 #include "serve/server.h"
-#include "digital/cyclesim.h"
 #include "explore/incremental.h"
 #include "explore/simulator.h"
 #include "explore/jsonl.h"
@@ -406,7 +401,9 @@ BM_SweepThreaded(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(specs.size()));
 }
-BENCHMARK(BM_SweepThreaded)->Arg(4)->Unit(benchmark::kMillisecond);
+// Worker threads do the work: time the wall clock, not this thread.
+BENCHMARK(BM_SweepThreaded)->Arg(4)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_SweepStreaming(benchmark::State &state)
@@ -430,7 +427,8 @@ BM_SweepStreaming(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(specs.size()));
 }
-BENCHMARK(BM_SweepStreaming)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SweepStreaming)->Arg(4)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_GridExpansion(benchmark::State &state)
@@ -463,35 +461,7 @@ BM_UsecaseSpecSweep(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(specs.size()));
 }
-BENCHMARK(BM_UsecaseSpecSweep)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_CycleSimThroughput(benchmark::State &state)
-{
-    const int64_t words = state.range(0);
-    for (auto _ : state) {
-        CycleSim sim;
-        int m = sim.addMemory({.name = "m", .capacityWords = 4096});
-        sim.addSource({.name = "s", .totalWords = words,
-                       .wordsPerCycle = 4.0, .memIdx = m});
-        SimUnit u;
-        u.name = "u";
-        u.inputs.push_back({.memIdx = m, .needWords = 4,
-                            .readWords = 4, .retireWords = 4.0,
-                            .expectedWords =
-                                static_cast<double>(words)});
-        u.outMemIdx = -1;
-        u.outWords = 1;
-        u.totalFires = words / 4;
-        u.latency = 2;
-        sim.addUnit(u);
-        CycleSimResult r = sim.run();
-        benchmark::DoNotOptimize(r.cycles);
-    }
-    state.SetItemsProcessed(state.iterations() * words);
-}
-BENCHMARK(BM_CycleSimThroughput)->Arg(1 << 14)->Arg(1 << 18)
+BENCHMARK(BM_UsecaseSpecSweep)->Arg(1)->Arg(4)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void
@@ -1133,11 +1103,12 @@ writeBenchJson()
 
     // Prefiltered sweep: the canonical study widened with axis values
     // the static grid analysis can prove infeasible (an out-of-range
-    // SRAM node and an active fraction > 1). A sweep filtered by
-    // GridAnalysis::doomed must skip EXACTLY provably-doomed points —
-    // every pruned point is re-simulated and must come back infeasible
-    // (false positives fail the bench) — and the filtered sweep's
-    // end-to-end win over the unfiltered run is the tracked speedup.
+    // SRAM node and an active fraction > 1). GridAnalysis::doomed
+    // must name EXACTLY provably-doomed points: every pruned point is
+    // re-simulated and must come back infeasible (false positives
+    // fail the bench). No speedup is timed: it read anywhere from
+    // 0.68x to 1.74x across runs of one build on one host, which is
+    // noise, not a property of the filter.
     spec::SweepDocument pre_doc = shardedStudyDocument();
     pre_doc.grid.axes[1].values.push_back(json::Value(254));
     pre_doc.grid.axes[2].values.push_back(json::Value(1.5));
@@ -1160,45 +1131,6 @@ writeBenchJson()
                      "feasible point(s)\n", false_positives);
         return false;
     }
-    auto time_prefiltered = [&](bool filtered) {
-        SweepOptions o;
-        o.threads = 1;
-        o.reuseMaterializations = true;
-        SweepEngine pre_engine(o);
-        size_t delivered = 0;
-        CallbackSink count([&](SweepResult) {
-            ++delivered;
-            return true;
-        });
-        const auto t0 = std::chrono::steady_clock::now();
-        spec::GridSpecSource grid = pre_doc.source();
-        if (filtered) {
-            // The analysis runs on the clock: it is the filter's cost.
-            const analysis::GridAnalysis a =
-                analysis::GridAnalyzer().analyze(pre_doc);
-            std::vector<size_t> survivors;
-            for (size_t i = 0; i < n_pre; ++i) {
-                if (!a.doomed(i))
-                    survivors.push_back(i);
-            }
-            spec::ShardSpecSource source(
-                grid, spec::explicitShard(n_pre, std::move(survivors)));
-            pre_engine.runStream(source, count);
-        } else {
-            pre_engine.runStream(grid, count);
-        }
-        const auto t1 = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(delivered);
-        return std::chrono::duration<double>(t1 - t0).count();
-    };
-    time_prefiltered(false); // warm-up
-    double unfiltered_seconds = 1e30, filtered_seconds = 1e30;
-    for (int rep = 0; rep < 2; ++rep) {
-        unfiltered_seconds =
-            std::min(unfiltered_seconds, time_prefiltered(false));
-        filtered_seconds =
-            std::min(filtered_seconds, time_prefiltered(true));
-    }
     json::Value prefiltered = json::Value::makeObject();
     prefiltered.set("designPoints",
                     json::Value(static_cast<int64_t>(n_pre)));
@@ -1207,33 +1139,17 @@ writeBenchJson()
                         pre_analysis.prunedPoints())));
     prefiltered.set("falsePositives",
                     json::Value(static_cast<int64_t>(false_positives)));
-    json::Value unfiltered_run = json::Value::makeObject();
-    unfiltered_run.set("seconds", json::Value(unfiltered_seconds));
-    unfiltered_run.set("designsPerSec",
-                       json::Value(static_cast<double>(n_pre) /
-                                   unfiltered_seconds));
-    prefiltered.set("unfiltered", std::move(unfiltered_run));
-    json::Value filtered_run = json::Value::makeObject();
-    filtered_run.set("seconds", json::Value(filtered_seconds));
-    filtered_run.set("designsPerSec",
-                     json::Value(static_cast<double>(n_pre) /
-                                 filtered_seconds));
-    prefiltered.set("prefiltered", std::move(filtered_run));
-    prefiltered.set("speedup",
-                    json::Value(unfiltered_seconds / filtered_seconds));
     doc.set("prefilteredSweep", std::move(prefiltered));
 
     // Strided sweep: the canonical study visited column-major (every
     // 12th point, then the next column) — the `camj_sweep plan --mode
     // strided` shard order, where consecutive points revisit one
-    // structural family at a time across the full rate axis. Three
+    // structural family at a time across the full rate axis. Two
     // passes over the SAME order: a from-scratch Simulator (the
-    // byte-identity reference), a gen-1 emulation (1-entry cache that
-    // drops its compiled point at every infeasible result, as the
-    // pre-LRU evaluator did), and the gen-2 LRU evaluator. Always the
-    // full 108-point grid, so the tracked speedup is comparable
-    // across runs; the gen-2 pass must beat the gen-1 emulation by
-    // >= 2x and both must reproduce the reference bytes exactly.
+    // byte-identity reference) and the compiled-point LRU evaluator,
+    // which must reproduce the reference bytes exactly. Always the
+    // full 108-point grid, so the tracked numbers are comparable
+    // across runs.
     const spec::SweepDocument strided_doc = spec::sampleDetectorStudy();
     spec::GridSpecSource strided_grid = strided_doc.source();
     const size_t n_strided = strided_grid.totalPoints();
@@ -1259,11 +1175,9 @@ writeBenchJson()
             *bytes = std::move(out);
         return std::chrono::duration<double>(t1 - t0).count();
     };
-    auto time_strided_incremental = [&](size_t cache_entries,
-                                        bool gen1_eviction,
-                                        std::string *bytes) {
+    auto time_strided_incremental = [&](std::string *bytes) {
         const auto t0 = std::chrono::steady_clock::now();
-        IncrementalEvaluator inc(strided_opts, cache_entries);
+        IncrementalEvaluator inc(strided_opts);
         std::string out;
         std::optional<size_t> last;
         size_t pos = 0;
@@ -1272,11 +1186,9 @@ writeBenchJson()
             std::optional<std::vector<std::string>> hint;
             if (last)
                 hint = strided_grid.changedPaths(*last, idx);
-            SimulationOutcome o =
-                hint ? inc.evaluate(s, *hint) : inc.evaluate(s);
-            if (gen1_eviction && !o.feasible)
-                inc.reset(); // the gen-1 infeasible-point cache thrash
-            out += lineFor(pos++, s, std::move(o));
+            out += lineFor(pos++, s,
+                           hint ? inc.evaluate(s, *hint)
+                                : inc.evaluate(s));
             last = idx;
         }
         const auto t1 = std::chrono::steady_clock::now();
@@ -1285,33 +1197,19 @@ writeBenchJson()
         return std::chrono::duration<double>(t1 - t0).count();
     };
 
-    std::string strided_ref, gen1_bytes, gen2_bytes;
+    std::string strided_ref, lru_bytes;
     time_strided_reference(nullptr); // warm-up
-    double strided_ref_seconds = 1e30;
-    double gen1_seconds = 1e30, gen2_seconds = 1e30;
+    double strided_ref_seconds = 1e30, lru_seconds = 1e30;
     for (int rep = 0; rep < 2; ++rep) {
         strided_ref_seconds =
             std::min(strided_ref_seconds,
                      time_strided_reference(&strided_ref));
-        gen1_seconds = std::min(
-            gen1_seconds,
-            time_strided_incremental(1, true, &gen1_bytes));
-        gen2_seconds = std::min(
-            gen2_seconds,
-            time_strided_incremental(
-                IncrementalEvaluator::kDefaultCacheEntries, false,
-                &gen2_bytes));
+        lru_seconds =
+            std::min(lru_seconds, time_strided_incremental(&lru_bytes));
     }
-    if (gen2_bytes != strided_ref || gen1_bytes != strided_ref) {
+    if (lru_bytes != strided_ref) {
         std::fprintf(stderr, "error: strided incremental sweep output "
                      "differs from the full-rebuild reference\n");
-        return false;
-    }
-    const double strided_speedup = gen1_seconds / gen2_seconds;
-    if (strided_speedup < 2.0) {
-        std::fprintf(stderr, "error: strided-order LRU sweep is only "
-                     "%.2fx the gen-1 last-point-only emulation "
-                     "(bar: 2.0x)\n", strided_speedup);
         return false;
     }
     json::Value strided = json::Value::makeObject();
@@ -1320,11 +1218,9 @@ writeBenchJson()
     strided.set("stride", json::Value(static_cast<int64_t>(stride)));
     setTimedRun(strided, "fullRebuild", n_strided,
                 strided_ref_seconds);
-    setTimedRun(strided, "gen1LastPointOnly", n_strided, gen1_seconds);
-    setTimedRun(strided, "gen2Lru", n_strided, gen2_seconds);
-    strided.set("speedupVsGen1", json::Value(strided_speedup));
+    setTimedRun(strided, "gen2Lru", n_strided, lru_seconds);
     strided.set("speedupVsFullRebuild",
-                json::Value(strided_ref_seconds / gen2_seconds));
+                json::Value(strided_ref_seconds / lru_seconds));
     strided.set("identicalToFullRebuild", json::Value(true));
     doc.set("stridedSweep", std::move(strided));
 
@@ -1488,110 +1384,12 @@ writeBenchJson()
     served.set("identicalToInProcess", json::Value(true));
     doc.set("servedSweep", std::move(served));
 
-    // Cycle-sim engines: one cycle-dominated frame — a slow
-    // fractional-rate ADC (5/8 word/cycle) feeding a sliding-window
-    // unit (retire 5/8) chained into a 2:1 reducer, ~6.7M digital
-    // cycles — through the reference tick loop and the fast-forward
-    // engine, best-of-3 each. Two in-binary acceptance bars: the
-    // counters must be bit-identical across engines (fast-forward is
-    // an execution strategy, never a different simulation), and the
-    // single-core speedup must clear 5x.
-    auto build_cyclesim_frame = [] {
-        CycleSim sim;
-        const int line = sim.addMemory(
-            {.name = "line", .capacityWords = 4096});
-        const int mid = sim.addMemory(
-            {.name = "mid", .capacityWords = 4096});
-        const int64_t words = 1 << 22;
-        sim.addSource({.name = "adc", .totalWords = words,
-                       .wordsPerCycle = 0.625, .memIdx = line});
-        SimUnit win;
-        win.name = "win";
-        win.inputs.push_back(
-            {.memIdx = line, .needWords = 9, .readWords = 3,
-             .retireWords = 0.625,
-             .expectedWords = static_cast<double>(words)});
-        win.outMemIdx = mid;
-        win.outWords = 1;
-        win.totalFires = (words - 9) * 8 / 5; // arrivals / retire
-        win.latency = 8;
-        sim.addUnit(win);
-        SimUnit reduce;
-        reduce.name = "reduce";
-        reduce.inputs.push_back({.memIdx = mid, .needWords = 4,
-                                 .readWords = 2, .retireWords = 2.0});
-        reduce.outMemIdx = -1;
-        reduce.outWords = 1;
-        reduce.totalFires = (win.totalFires - 4) / 2;
-        reduce.latency = 16;
-        sim.addUnit(reduce);
-        return sim;
-    };
-    auto time_cyclesim = [&](CycleSim::Mode mode,
-                             CycleSimResult *result) {
-        CycleSim sim = build_cyclesim_frame();
-        sim.setMode(mode);
-        sim.run(); // warm-up
-        double best = 1e30;
-        for (int rep = 0; rep < 3; ++rep) {
-            const auto t0 = std::chrono::steady_clock::now();
-            CycleSimResult r = sim.run();
-            const auto t1 = std::chrono::steady_clock::now();
-            best = std::min(
-                best,
-                std::chrono::duration<double>(t1 - t0).count());
-            if (result != nullptr)
-                *result = std::move(r);
-        }
-        return best;
-    };
-    CycleSimResult cs_tick, cs_ffwd;
-    const double cs_tick_seconds =
-        time_cyclesim(CycleSim::Mode::TickLoop, &cs_tick);
-    const double cs_ffwd_seconds =
-        time_cyclesim(CycleSim::Mode::FastForward, &cs_ffwd);
-    if (!sameCounters(cs_tick, cs_ffwd)) {
-        std::fprintf(stderr, "error: fast-forward cycle-sim counters "
-                     "differ from the tick loop\n");
-        return false;
-    }
-    const double cs_speedup = cs_tick_seconds / cs_ffwd_seconds;
-    if (cs_speedup < 5.0) {
-        std::fprintf(stderr, "error: fast-forward cycle sim is only "
-                     "%.2fx the tick loop (bar: 5.0x)\n", cs_speedup);
-        return false;
-    }
-    const double cs_cycles = static_cast<double>(cs_tick.cycles);
-    json::Value cyclesim = json::Value::makeObject();
-    cyclesim.set("frameCycles", json::Value(cs_tick.cycles));
-    json::Value cs_tick_run = json::Value::makeObject();
-    cs_tick_run.set("seconds", json::Value(cs_tick_seconds));
-    cs_tick_run.set("cyclesPerSec",
-                    json::Value(cs_cycles / cs_tick_seconds));
-    cyclesim.set("tickLoop", std::move(cs_tick_run));
-    json::Value cs_ffwd_run = json::Value::makeObject();
-    cs_ffwd_run.set("seconds", json::Value(cs_ffwd_seconds));
-    cs_ffwd_run.set("cyclesPerSec",
-                    json::Value(cs_cycles / cs_ffwd_seconds));
-    cs_ffwd_run.set("cyclesTicked",
-                    json::Value(cs_ffwd.stats.cyclesTicked));
-    cs_ffwd_run.set("cyclesFastForwarded",
-                    json::Value(cs_ffwd.stats.cyclesFastForwarded));
-    cs_ffwd_run.set("periodsDetected",
-                    json::Value(cs_ffwd.stats.periodsDetected));
-    cs_ffwd_run.set("fallbacks",
-                    json::Value(cs_ffwd.stats.fallbacks));
-    cyclesim.set("fastForward", std::move(cs_ffwd_run));
-    cyclesim.set("speedup", json::Value(cs_speedup));
-    cyclesim.set("identicalToTickLoop", json::Value(true));
-    doc.set("cycleSim", std::move(cyclesim));
-
     // Stage profile: where one-at-a-time evaluation time goes. Every
     // point of the (--points-scaled) canonical study through
     // EvalPipeline::runAllTimed, per-stage wall-clock accumulated
-    // across the grid — the breakdown that shows cyclesim's share of
-    // the pipeline (the fast-forward engine's target) and flags any
-    // stage creeping back up.
+    // across the grid — the breakdown that shows the timing stage's
+    // share (pass B's stall check, now mostly certified instead of
+    // simulated) and flags any stage creeping back up.
     const spec::SweepDocument prof_doc = shardedStudyDocument();
     std::vector<spec::DesignSpec> prof_pts =
         spec::expandGrid(prof_doc.base, prof_doc.grid);
@@ -1686,19 +1484,14 @@ writeBenchJson()
                 single_seconds / forked_seconds, n_shards,
                 merge_seconds);
     std::printf("prefiltered sweep: %zu points, %zu statically pruned "
-                "(%zu false positives), %.1f designs/sec unfiltered "
-                "vs %.1f prefiltered (%.2fx)\n", n_pre,
-                pre_analysis.prunedPoints(), false_positives,
-                static_cast<double>(n_pre) / unfiltered_seconds,
-                static_cast<double>(n_pre) / filtered_seconds,
-                unfiltered_seconds / filtered_seconds);
-    std::printf("strided sweep: %zu points, %.1f designs/sec gen-1 "
-                "last-point-only vs %.1f gen-2 LRU (%.2fx, bar 2.0x; "
-                "%.2fx vs full rebuild), outputs byte-identical\n",
+                "(%zu false positives)\n", n_pre,
+                pre_analysis.prunedPoints(), false_positives);
+    std::printf("strided sweep: %zu points, %.1f designs/sec full "
+                "rebuild vs %.1f LRU (%.2fx), outputs byte-identical\n",
                 n_strided,
-                static_cast<double>(n_strided) / gen1_seconds,
-                static_cast<double>(n_strided) / gen2_seconds,
-                strided_speedup, strided_ref_seconds / gen2_seconds);
+                static_cast<double>(n_strided) / strided_ref_seconds,
+                static_cast<double>(n_strided) / lru_seconds,
+                strided_ref_seconds / lru_seconds);
     std::printf("cached sweep: %zu points through %s, %.3fs cold, "
                 "%.3fs warm (%.1fx vs full rebuild)%s, outputs "
                 "byte-identical\n", n_cachedpts, cache_dir.c_str(),
@@ -1713,13 +1506,6 @@ writeBenchJson()
                 static_cast<double>(n_served) / served_seconds,
                 static_cast<double>(n_served) / served_local_seconds,
                 served_overhead);
-    std::printf("cycle sim: %" PRId64 " frame cycles, %.3fs tick "
-                "loop vs %.4fs fast-forward (%.1fx, bar 5.0x; %"
-                PRId64 " jumps, %" PRId64 " cycles ticked), counters "
-                "bit-identical\n", cs_tick.cycles, cs_tick_seconds,
-                cs_ffwd_seconds, cs_speedup,
-                cs_ffwd.stats.periodsDetected,
-                cs_ffwd.stats.cyclesTicked);
     std::printf("stage profile: %zu points in %.3fs;", prof_pts.size(),
                 prof_seconds);
     for (int i = 0; i < kEvalStageCount; ++i)

@@ -79,7 +79,8 @@ checkSweepDocument(const std::string &text)
             return check;
         }
         // Opening the grid probes every axis value, as a run does.
-        sweep.source();
+        check.source = std::make_unique<spec::GridSpecSource>(
+            sweep.base, sweep.grid);
         check.grid = GridAnalyzer().analyze(sweep);
         check.document = std::move(sweep);
     } catch (const ConfigError &e) {

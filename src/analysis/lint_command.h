@@ -16,6 +16,7 @@
 #define CAMJ_ANALYSIS_LINT_COMMAND_H
 
 #include <cstdio>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -51,6 +52,9 @@ struct DocumentCheck
     std::optional<spec::SweepDocument> document;
     /** GridAnalyzer's verdict on document's grid; set with it. */
     std::optional<GridAnalysis> grid;
+    /** The grid opened (and its axis values probed) over document;
+     *  set with it, so a run need not open it again. */
+    std::unique_ptr<spec::GridSpecSource> source;
 };
 
 /** Check one sweep (or plain spec) document's text. Never throws

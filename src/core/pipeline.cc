@@ -399,6 +399,13 @@ EvalPipeline::runTiming(const Design &d)
             simBuilt_ = true;
         }
         sim_.setSourceRate(0, adc_rate);
+        // A certified topology provably drains without blocking at
+        // this rate, so the verdict needs no simulation.
+        if (sim_.certifiesNoStall(0, CycleSim::kDefaultMaxCycles)) {
+            statsB_ = {};
+            statsB_.stallChecksCertified = 1;
+            return;
+        }
         CycleSimResult rb = sim_.run();
         statsB_ = rb.stats;
         if (rb.sourceBlocked) {

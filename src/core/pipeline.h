@@ -122,6 +122,11 @@ class EvalPipeline
         return s;
     }
 
+    /** The cycle-level model at the pass-B (true ADC) rate: what the
+     *  last Timing stage's stall check simulated or certified.
+     *  Meaningful only after a Timing stage that ran the check. */
+    const CycleSim &stallCheckModel() const { return sim_; }
+
     /** Stages the last runFrom()/runAll() actually entered (counted
      *  before each stage runs, so a mid-stage ConfigError still
      *  counts the throwing stage). */

@@ -14,24 +14,17 @@
  *
  * The model is transaction-level: every unit moves its declared
  * per-cycle shapes; pipeline depth delays the landing of outputs.
+ * run() advances it one cycle at a time. Rates are snapped to 8
+ * significant binary digits on entry (addSource / addUnit /
+ * setSourceRate; at most 0.2% relative error), which keeps the
+ * source's credit arithmetic exact.
  *
- * Because every rate in the model is constant, the simulation
- * becomes AFFINE-PERIODIC once the pipeline reaches steady state:
- * the discrete skeleton (reserved words, in-flight landings,
- * drained/done flags) repeats exactly while occupancies, credits,
- * and arrival counters advance by a fixed per-period delta. Rates
- * are snapped to 8 significant binary digits on entry (addSource /
- * addUnit / setSourceRate; at most 0.2% relative error), which makes
- * every per-cycle double operation exact, so a verified period
- * replays bit-identically any number of times. The default
- * Mode::FastForward engine detects the period from a skeleton
- * fingerprint, verifies the deltas over two more periods, and then
- * jumps whole periods at once in closed form, bounded by the nearest
- * discrete event (a source draining, a unit reaching totalFires) and
- * by every recorded float-comparison margin — turning
- * O(frame-cycles) ticking into O(events) while producing counters
- * bit-identical to the Mode::TickLoop reference (pinned by
- * tests/cyclesim_diff_test.cc; see docs/performance.md).
+ * The Timing stage's pass B (the stall check at the true ADC rate)
+ * is a verdict only: it asks whether the source ever blocks.
+ * certifiesNoStall() answers it without simulating when three
+ * conditions on the quantized topology prove the answer is "never,
+ * and the frame drains"; the argument is in docs/performance.md and
+ * tests/cyclesim_diff_test.cc simulates every topology it certifies.
  */
 
 #ifndef CAMJ_DIGITAL_CYCLESIM_H
@@ -121,22 +114,22 @@ struct SimUnit
 };
 
 /**
- * How one run() executed — diagnostics, not semantics. The counters
- * depend on CycleSim::Mode (the tick loop never fast-forwards), so
- * they are deliberately EXCLUDED from sameCounters() and from every
- * serialized result format.
+ * How the cycle-level model was evaluated — diagnostics, not
+ * semantics: EXCLUDED from every serialized result format.
  */
 struct CycleSimStats
 {
-    /** Cycles simulated one at a time. */
+    /** Cycles simulated. */
     int64_t cyclesTicked = 0;
-    /** Cycles skipped in closed form by period jumps. */
+    /** Always 0: the closed-form period-jump engine these three
+     *  counters described is gone. They stay because the `camj_sweep
+     *  run --verbose` line and the benchmark read them. */
     int64_t cyclesFastForwarded = 0;
-    /** Verified periods jumped over (one count per jump). */
     int64_t periodsDetected = 0;
-    /** Candidate periods rejected by delta verification or by the
-     *  event/precision jump bounds (each fell back to ticking). */
     int64_t fallbacks = 0;
+    /** Pass-B stall checks answered by CycleSim::certifiesNoStall()
+     *  instead of a simulation. */
+    int64_t stallChecksCertified = 0;
 
     CycleSimStats &operator+=(const CycleSimStats &o)
     {
@@ -144,6 +137,7 @@ struct CycleSimStats
         cyclesFastForwarded += o.cyclesFastForwarded;
         periodsDetected += o.periodsDetected;
         fallbacks += o.fallbacks;
+        stallChecksCertified += o.stallChecksCertified;
         return *this;
     }
 
@@ -167,13 +161,9 @@ struct CycleSimResult
     int64_t portConflictCycles = 0;
     /** True if any source was ever blocked. */
     bool sourceBlocked = false;
-    /** Execution diagnostics (mode-dependent; see CycleSimStats). */
+    /** Execution diagnostics (see CycleSimStats). */
     CycleSimStats stats;
 };
-
-/** Every semantic field of @p a equals @p b's (stats excluded: they
- *  describe how the engine ran, not what the pipeline did). */
-bool sameCounters(const CycleSimResult &a, const CycleSimResult &b);
 
 /**
  * The pipeline simulator. Build with addMemory/addSource/addUnit
@@ -185,18 +175,8 @@ bool sameCounters(const CycleSimResult &a, const CycleSimResult &b);
 class CycleSim
 {
   public:
-    /** Which engine run() uses. Counters are bit-identical across
-     *  modes; only CycleSimResult::stats differs. */
-    enum class Mode
-    {
-        /** Periodic steady-state detection with closed-form jumps
-         *  (the default). Degrades to plain ticking whenever no
-         *  period verifies. */
-        FastForward,
-        /** The reference cycle-at-a-time loop, kept compiled-in as
-         *  the differential-testing baseline. */
-        TickLoop,
-    };
+    /** run()'s default deadlock guard (the pipeline's passes use it). */
+    static constexpr int64_t kDefaultMaxCycles = 500000000;
 
     /** @return memory index. @throws ConfigError on bad params. */
     int addMemory(SimMemory mem);
@@ -212,23 +192,6 @@ class CycleSim
      *  @throws ConfigError on a bad index or rate. */
     void setSourceRate(int idx, double words_per_cycle);
 
-    /** Override the process-wide default mode for this instance. */
-    void setMode(Mode mode)
-    {
-        mode_ = mode;
-        modeSet_ = true;
-    }
-
-    /** The mode run() will use (instance override, else the
-     *  process-wide default). */
-    Mode mode() const { return modeSet_ ? mode_ : defaultMode(); }
-
-    /** Process-wide default mode (Mode::FastForward unless changed);
-     *  differential suites flip it to drive whole pipelines through
-     *  the reference engine. Thread-safe. */
-    static Mode defaultMode();
-    static void setDefaultMode(Mode mode);
-
     /** The topologies are identical (memories, sources, units). */
     bool sameTopology(const CycleSim &o) const
     {
@@ -243,17 +206,32 @@ class CycleSim
      * @throws ConfigError if the pipeline does not drain within
      *         @p max_cycles (deadlock or unsatisfiable dependencies).
      */
-    CycleSimResult run(int64_t max_cycles = 500000000);
+    CycleSimResult run(int64_t max_cycles = kDefaultMaxCycles);
+
+    /**
+     * A sound "cannot stall" certificate for source @p source at its
+     * current rate: when it returns true, run(@p max_cycles) drains
+     * and never blocks a source (sourceBlocked is false), so a caller
+     * that only needs that verdict may skip the run. It holds when
+     *   (a) @p source is the topology's only source and the only
+     *       writer of its memory, which holds all its totalWords;
+     *   (b) every other non-prefilled memory holds everything its
+     *       producers ever write, every non-prefilled input port of a
+     *       firing unit uses cumulative-arrival readiness
+     *       (expectedWords > 0) and is ready for its last fire once
+     *       its memory holds its final arrivals, and the producer
+     *       graph through non-prefilled memories is acyclic;
+     *   (c) the resulting drain-cycle bound is <= @p max_cycles.
+     * False means "simulate", never "stalls". A pure function of the
+     * quantized topology and rates.
+     * @throws ConfigError (D003) on an invalid source index.
+     */
+    bool certifiesNoStall(int source, int64_t max_cycles) const;
 
   private:
     std::vector<SimMemory> mems_;
     std::vector<SimSource> sources_;
     std::vector<SimUnit> units_;
-    Mode mode_ = Mode::FastForward;
-    bool modeSet_ = false;
-
-    CycleSimResult runTickLoop(int64_t max_cycles);
-    CycleSimResult runFastForward(int64_t max_cycles);
 };
 
 } // namespace camj

@@ -236,12 +236,6 @@ CompiledDesignLru::promote(size_t i)
     entries_.splice(entries_.begin(), entries_, it);
 }
 
-CompiledDesign *
-CompiledDesignLru::mostRecent()
-{
-    return entries_.empty() ? nullptr : &entries_.front().compiled;
-}
-
 uint64_t
 CompiledDesignLru::insert(uint64_t key, CompiledDesign compiled)
 {
@@ -253,12 +247,6 @@ CompiledDesignLru::insert(uint64_t key, CompiledDesign compiled)
         ++stats_.evictions;
     }
     return id;
-}
-
-void
-CompiledDesignLru::clear()
-{
-    entries_.clear();
 }
 
 // ----------------------------------------------------------- OutcomeStore

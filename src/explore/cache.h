@@ -133,10 +133,6 @@ class CompiledDesignLru
     /** Move the @p i-th entry to most-recently-used. */
     void promote(size_t i);
 
-    /** The most-recently-used entry; nullptr when empty. This is the
-     *  gen-1 "last point" diff base. */
-    CompiledDesign *mostRecent();
-
     /** Insert a new entry as most-recently-used, evicting the
      *  least-recently-used entry when over capacity. Returns the new
      *  entry's unique id. */
@@ -147,8 +143,6 @@ class CompiledDesignLru
      *  lookups, so it reports the per-point outcome itself). */
     void noteHit() { ++stats_.hits; }
     void noteMiss() { ++stats_.misses; }
-
-    void clear();
 
     size_t size() const { return entries_.size(); }
     size_t capacity() const { return capacity_; }

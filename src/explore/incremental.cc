@@ -225,11 +225,12 @@ IncrementalEvaluator::IncrementalEvaluator(SimulationOptions options,
 }
 
 void
-IncrementalEvaluator::reset()
+IncrementalEvaluator::keep(uint64_t structural_hash,
+                           CompiledDesign compiled)
 {
-    lru_.clear();
-    hintBaseId_.reset();
+    hintBaseId_ = lru_.insert(structural_hash, std::move(compiled));
     carriedPaths_.clear();
+    keptEntry_ = true;
 }
 
 void
@@ -287,6 +288,7 @@ IncrementalEvaluator::identicalHit(const CompiledDesign &base,
     stats_.stagesSkipped += static_cast<size_t>(kEvalStageCount);
     hintBaseId_ = entry_id;
     carriedPaths_.clear();
+    keptEntry_ = true;
     return finishOutcome(options_, base.report);
 }
 
@@ -296,29 +298,32 @@ IncrementalEvaluator::fullBuild(const spec::DesignSpec &spec,
                                 uint64_t structural_hash)
 {
     ++stats_.fullBuilds;
+    std::optional<Design> design;
     EvalPipeline pipeline;
-    bool pipeline_ran = false;
     try {
-        Design design = spec.materialize(&cache_);
-        pipeline_ran = true;
-        EnergyReport report = pipeline.runAll(design);
+        design.emplace(spec.materialize(&cache_));
+        EnergyReport report = pipeline.runAll(*design);
         stats_.stagesRun += static_cast<size_t>(pipeline.stagesEntered());
         SimulationOutcome out = finishOutcome(options_, report);
         out.simStats = pipeline.simStats();
         persist(doc, nullptr, report);
-        hintBaseId_ = lru_.insert(
-            structural_hash,
-            CompiledDesign{std::move(doc), std::move(design),
-                           std::move(pipeline), std::move(report)});
-        carriedPaths_.clear();
+        keep(structural_hash,
+             CompiledDesign{std::move(doc), std::move(*design),
+                            std::move(pipeline), std::move(report),
+                            std::nullopt});
         return out;
     } catch (const ConfigError &e) {
-        // A failed check aborts mid-pipeline: this point leaves no
-        // compiled entry, but every cached entry stays valid.
-        if (pipeline_ran)
-            stats_.stagesRun +=
-                static_cast<size_t>(pipeline.stagesEntered());
         persist(doc, &e, {});
+        if (design) {
+            // A check failed inside the pipeline: every stage before
+            // the failing one completed, so the point stays a base.
+            const int entered = pipeline.stagesEntered();
+            stats_.stagesRun += static_cast<size_t>(entered);
+            keep(structural_hash,
+                 CompiledDesign{std::move(doc), std::move(*design),
+                                std::move(pipeline), {},
+                                static_cast<EvalStage>(entered - 1)});
+        }
         if (options_.checkMode == CheckMode::Strict)
             throw;
         return failureOutcome(options_, e);
@@ -367,11 +372,10 @@ IncrementalEvaluator::incrementalRun(const spec::DesignSpec &spec,
         SimulationOutcome out = finishOutcome(options_, report);
         out.simStats = pipeline.simStats();
         persist(doc, nullptr, report);
-        hintBaseId_ = lru_.insert(
-            structural_hash,
-            CompiledDesign{std::move(doc), std::move(*design),
-                           std::move(pipeline), std::move(report)});
-        carriedPaths_.clear();
+        keep(structural_hash,
+             CompiledDesign{std::move(doc), std::move(*design),
+                            std::move(pipeline), std::move(report),
+                            std::nullopt});
         return out;
     } catch (const ConfigError &e) {
         // Count only the stages actually entered (the throwing stage
@@ -416,8 +420,8 @@ IncrementalEvaluator::dispatch(
     // over a rate x memory-node grid revisits the previous column's
     // same-rate sibling, against which only the Energy stage differs,
     // while the last point differs in fps and would force the Timing
-    // stage (whose stall simulation dominates the cost at low frame
-    // rates). Per-entry deltas come from the cheapest sound source:
+    // stage (whose stall check may simulate a whole frame). Per-entry
+    // deltas come from the cheapest sound source:
     //   - same structural signature (hash fast-path, then the full
     //     masked tree-equality verify — a hash collision falls
     //     through to a diff, never patches the wrong base): compare
@@ -427,9 +431,11 @@ IncrementalEvaluator::dispatch(
     //     that left no entry — a sound over-approximation of the
     //     delta);
     //   - anything else: a JSON tree diff.
-    // An empty delta answers the point from the cache outright. The
-    // scan stops early once a base needs only the Energy stage — no
-    // later candidate can beat that by more than a materialization.
+    // An empty delta answers the point from the cache outright (a
+    // kept infeasible candidate instead re-runs its failing stage).
+    // The scan stops early once a base needs only the Energy stage —
+    // no later candidate can beat that by more than a
+    // materialization.
     std::optional<size_t> best_idx;
     FieldImpact best{};
     enum class DeltaSource { Scalar, Hint, Diff };
@@ -438,18 +444,13 @@ IncrementalEvaluator::dispatch(
     const size_t entry_count = lru_.size();
     for (size_t i = 0; i < entry_count; ++i) {
         CompiledDesign &cand = *lru_.entryAt(i);
+        // The delta to this candidate; empty when the specs are
+        // identical.
         std::optional<FieldImpact> impact;
         DeltaSource source = DeltaSource::Diff;
         if (lru_.keyAt(i) == structural_hash &&
             structurallyEqual(cand.specDoc, doc)) {
-            const std::vector<std::string> changed =
-                scalarDeltas(cand.specDoc, doc);
-            if (changed.empty()) {
-                lru_.promote(i);
-                lru_.noteHit();
-                return identicalHit(cand, lru_.idAt(0));
-            }
-            impact = classifyFieldPaths(changed); // never structural
+            impact = classifyFieldPaths(scalarDeltas(cand.specDoc, doc));
             source = DeltaSource::Scalar;
         } else if (hint_pending && lru_.idAt(i) == *hintBaseId_) {
             hint_pending = false;
@@ -458,22 +459,10 @@ IncrementalEvaluator::dispatch(
                              changed_paths->end());
             dedupe(effective);
             impact = classifyFieldPaths(effective);
-            if (!impact) {
-                lru_.promote(i);
-                lru_.noteHit();
-                return identicalHit(cand, lru_.idAt(0));
-            }
             source = DeltaSource::Hint;
         } else {
             const std::vector<spec::SpecDifference> diffs =
                 spec::diffJsonValues(cand.specDoc, doc);
-            if (diffs.empty()) {
-                lru_.promote(i);
-                lru_.noteHit();
-                return identicalHit(cand, lru_.idAt(0));
-            }
-            FieldImpact merged;
-            bool merged_any = false;
             for (const spec::SpecDifference &d : diffs) {
                 // Added/Removed fields change the document SHAPE (an
                 // element appeared, an optional member toggled):
@@ -482,12 +471,27 @@ IncrementalEvaluator::dispatch(
                     d.kind == spec::SpecDifference::Kind::Changed
                         ? classifyFieldPath(d.path)
                         : FieldImpact::full();
-                merged = merged_any ? mergeImpacts(merged, fi) : fi;
-                merged_any = true;
-                if (merged.structural())
+                impact = impact ? mergeImpacts(*impact, fi) : fi;
+                if (impact->structural())
                     break;
             }
-            impact = merged;
+        }
+        if (cand.failedAt) {
+            // A kept infeasible point: its outputs from the failing
+            // stage on are stale, so re-run from there at the latest
+            // and never stop at the equality cut-off.
+            FieldImpact rerun =
+                impact.value_or(FieldImpact{false, *cand.failedAt});
+            if (static_cast<int>(*cand.failedAt) <
+                static_cast<int>(rerun.firstStage))
+                rerun.firstStage = *cand.failedAt;
+            rerun.lastStage = EvalStage::Energy;
+            impact = rerun;
+        }
+        if (!impact) {
+            lru_.promote(i);
+            lru_.noteHit();
+            return identicalHit(cand, lru_.idAt(0));
         }
         if (impact->structural())
             continue; // unusable as a base; a later entry may do
@@ -531,15 +535,17 @@ IncrementalEvaluator::evaluateImpl(
     }
 
     const uint64_t structural_hash = structuralCacheKey(doc);
+    keptEntry_ = false;
     try {
         SimulationOutcome out =
             dispatch(spec, std::move(doc), structural_hash,
                      changed_paths);
-        if (!out.feasible)
+        if (!keptEntry_)
             noteUncompiledPoint(changed_paths);
         return out;
     } catch (...) {
-        noteUncompiledPoint(changed_paths);
+        if (!keptEntry_)
+            noteUncompiledPoint(changed_paths);
         throw;
     }
 }

@@ -103,10 +103,12 @@ classifyFieldPaths(const std::vector<std::string> &paths);
 /**
  * One compiled design point: the spec document it was compiled from,
  * the lowered Design, and the evaluation pipeline holding every
- * persisted stage output. Only FEASIBLE points are kept compiled —
- * a failed check aborts mid-pipeline, leaving nothing reusable (the
- * evaluator therefore runs each point on a scratch copy and only
- * caches it on success).
+ * persisted stage output. A full build whose check fails INSIDE the
+ * pipeline is kept too, marked with its failing stage: the stages
+ * before it completed, so a later point may re-run from that stage
+ * (a band of frame-budget failures then costs one full build, not
+ * one each). Incremental runs evaluate on a scratch copy of their
+ * base and are kept only on success.
  */
 struct CompiledDesign
 {
@@ -114,8 +116,13 @@ struct CompiledDesign
     json::Value specDoc;
     Design design;
     EvalPipeline pipeline;
-    /** The Energy stage's report (per frame). */
+    /** The Energy stage's report (per frame); empty when failedAt. */
     EnergyReport report;
+    /** The stage whose check failed, for a kept infeasible point.
+     *  Its outputs and those of every later stage are stale: a point
+     *  based on it re-runs from here at the latest, without the
+     *  equality cut-off, and never answers from the cached report. */
+    std::optional<EvalStage> failedAt;
 };
 
 /** Counters of what an evaluator reused vs. redid. */
@@ -175,9 +182,7 @@ class IncrementalEvaluator
     static constexpr size_t kDefaultCacheEntries = 8;
 
     /**
-     * @param cache_entries In-memory LRU capacity (clamped to >= 1;
-     *        1 reproduces the gen-1 last-point-only behavior, minus
-     *        its infeasible-point eviction bug).
+     * @param cache_entries In-memory LRU capacity (clamped to >= 1).
      * @param cache_dir When non-empty, the content-addressed on-disk
      *        outcome store directory (created if needed, shared
      *        across processes).
@@ -229,12 +234,8 @@ class IncrementalEvaluator
         return store_ ? &store_->stats() : nullptr;
     }
 
-    /** Drop every compiled point (the next evaluate() fully rebuilds
-     *  unless the on-disk store answers it). The materialization
-     *  cache, the on-disk store, and the stats survive. */
-    void reset();
-
-    /** True when at least one compiled point is cached in memory. */
+    /** True when at least one compiled point (feasible or kept
+     *  infeasible) is cached in memory. */
     bool hasCompiledPoint() const { return lru_.size() > 0; }
 
   private:
@@ -251,11 +252,14 @@ class IncrementalEvaluator
      *  point. */
     std::optional<uint64_t> hintBaseId_;
     /** Changed paths accumulated since hintBaseId_'s entry was
-     *  compiled, over points that produced no compiled entry
-     *  (infeasible points, disk hits). The union with the next hint
-     *  over-approximates the base -> current delta, which the hint
-     *  contract allows. */
+     *  compiled, over points that produced no compiled entry (failed
+     *  incremental runs and materializations, disk hits). The union
+     *  with the next hint over-approximates the base -> current
+     *  delta, which the hint contract allows. */
     std::vector<std::string> carriedPaths_;
+    /** The current evaluate() left an entry the hint chain now
+     *  names (a kept point or an identical hit). */
+    bool keptEntry_ = false;
 
     SimulationOutcome evaluateImpl(
         const spec::DesignSpec &spec,
@@ -275,6 +279,8 @@ class IncrementalEvaluator
     SimulationOutcome identicalHit(const CompiledDesign &base,
                                    uint64_t entry_id);
     SimulationOutcome restoredOutcome(StoredOutcome record);
+    /** Insert @p compiled and make it the hint chain's base. */
+    void keep(uint64_t structural_hash, CompiledDesign compiled);
     /** Bookkeeping for a point that left no compiled entry. */
     void noteUncompiledPoint(
         const std::vector<std::string> *changed_paths);

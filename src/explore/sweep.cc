@@ -41,6 +41,11 @@ SweepEngine::SweepEngine(SweepOptions options)
     if (options_.threads < 0)
         fatal("SweepEngine: negative thread count %d",
               options_.threads);
+    // The outcome store lives in the incremental evaluators; a
+    // directory the engine would never open is a caller mistake.
+    if (!options_.cacheDir.empty() && !options_.incremental)
+        fatal("SweepEngine: cacheDir '%s' needs incremental "
+              "evaluation", options_.cacheDir.c_str());
     // Infeasibility is data inside a sweep.
     options_.sim.checkMode = CheckMode::Report;
 }
@@ -139,17 +144,12 @@ SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
     std::atomic<size_t> produced{0};
     std::atomic<size_t> delivered{0};
     std::atomic<size_t> cache_hits{0};
-    // CycleSimStats aggregate, one atomic per field (workers batch
-    // their local sums into these once, on exit).
-    std::atomic<int64_t> sim_ticked{0};
-    std::atomic<int64_t> sim_ffwd{0};
-    std::atomic<int64_t> sim_periods{0};
-    std::atomic<int64_t> sim_fallbacks{0};
     std::atomic<bool> sink_cancelled{false};
     std::mutex source_mutex; // serial sources only
     std::mutex sink_mutex;
     std::mutex error_mutex;
     std::exception_ptr first_error; // guarded by error_mutex
+    std::mutex stats_mutex; // guards stats.cycleSim (one += per worker)
     size_t next_index = 0; // guarded by source_mutex
     const bool concurrent = source.concurrentPulls();
 
@@ -252,14 +252,8 @@ SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
         if (inc && inc->outcomeStoreStats() != nullptr)
             cache_hits.fetch_add(inc->outcomeStoreStats()->hits,
                                  std::memory_order_relaxed);
-        sim_ticked.fetch_add(local_sim.cyclesTicked,
-                             std::memory_order_relaxed);
-        sim_ffwd.fetch_add(local_sim.cyclesFastForwarded,
-                           std::memory_order_relaxed);
-        sim_periods.fetch_add(local_sim.periodsDetected,
-                              std::memory_order_relaxed);
-        sim_fallbacks.fetch_add(local_sim.fallbacks,
-                                std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(stats_mutex);
+        stats.cycleSim += local_sim;
     };
 
     if (workers <= 1) {
@@ -277,14 +271,6 @@ SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
     stats.delivered = delivered.load(std::memory_order_relaxed);
     stats.outcomeCacheHits =
         cache_hits.load(std::memory_order_relaxed);
-    stats.cycleSim.cyclesTicked =
-        sim_ticked.load(std::memory_order_relaxed);
-    stats.cycleSim.cyclesFastForwarded =
-        sim_ffwd.load(std::memory_order_relaxed);
-    stats.cycleSim.periodsDetected =
-        sim_periods.load(std::memory_order_relaxed);
-    stats.cycleSim.fallbacks =
-        sim_fallbacks.load(std::memory_order_relaxed);
     stats.cancelled = sink_cancelled.load(std::memory_order_relaxed);
     if (cancel != nullptr && cancel->cancelled())
         stats.cancelled = true;

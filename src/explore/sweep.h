@@ -60,9 +60,10 @@ struct SweepOptions
      *  (explore/cache.h): how many structural families a worker keeps
      *  compiled at once. */
     size_t cacheEntries = IncrementalEvaluator::kDefaultCacheEntries;
-    /** When non-empty (and incremental), the content-addressed
-     *  on-disk outcome store directory, shared across workers,
-     *  processes, and repeated runs (created if needed). */
+    /** When non-empty, the content-addressed on-disk outcome store
+     *  directory, shared across workers, processes, and repeated
+     *  runs (created if needed). Needs incremental: the SweepEngine
+     *  constructor throws a D003 ConfigError otherwise. */
     std::string cacheDir;
 };
 

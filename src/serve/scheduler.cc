@@ -213,8 +213,9 @@ Scheduler::submit(const std::string &doc_text, int frames,
     const int t = threads > 0 ? threads : options_.threadsPerWorker;
     auto job = adm.job;
     threads_.emplace_back(
-        [this, job, d = std::move(doc), f, t]() mutable {
-            runJob(job, std::move(d), f, t);
+        [this, job, d = std::move(doc), g = std::move(check.source), f,
+         t]() mutable {
+            runJob(job, std::move(d), std::move(g), f, t);
         });
     return adm;
 }
@@ -243,12 +244,13 @@ Scheduler::cancelAll()
 
 void
 Scheduler::runJob(std::shared_ptr<JobRecord> job,
-                  spec::SweepDocument doc, int frames, int threads)
+                  spec::SweepDocument doc,
+                  std::unique_ptr<spec::GridSpecSource> grid, int frames,
+                  int threads)
 {
     std::string job_error;
     bool cancelled = false;
     std::vector<std::unique_ptr<WorkerSlot>> slots;
-    std::optional<spec::GridSpecSource> grid;
     MergeState merge;
     merge.summary.topKLimit = options_.topK;
 
@@ -292,7 +294,7 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
         const spec::ShardAssignment a = slot.current;
         const std::string path = slot.attemptPath;
         const std::string cache_dir = options_.cacheDir;
-        spec::GridSpecSource *parent = &*grid;
+        spec::GridSpecSource *parent = grid.get();
         slot.thread = std::thread([parent, job, a, path, inject,
                                    frames, threads, cache_dir,
                                    verdict, fail_text] {
@@ -492,7 +494,6 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
         const size_t total = doc.grid.points();
         merge.total = total;
         merge.seen.assign(total, false);
-        grid.emplace(doc.base, doc.grid);
         const size_t shard_count =
             std::min(options_.shards, std::max<size_t>(total, 1));
         const spec::ShardPlan plan = spec::planShards(

@@ -134,7 +134,9 @@ class Scheduler
 
   private:
     void runJob(std::shared_ptr<JobRecord> job,
-                spec::SweepDocument doc, int frames, int threads);
+                spec::SweepDocument doc,
+                std::unique_ptr<spec::GridSpecSource> grid, int frames,
+                int threads);
 
     SchedulerOptions options_;
     JobRegistry &registry_;

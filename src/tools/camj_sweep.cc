@@ -66,10 +66,11 @@ usage(std::FILE *to)
 "                                  of the base spec\n"
 "      --full-rebuild              evaluate every point from scratch\n"
 "                                  instead of the incremental staged\n"
-"                                  pipeline (results are identical)\n"
+"                                  pipeline (results are identical;\n"
+"                                  not with --cache-dir)\n"
 "      --verbose                   also print cycle-sim execution\n"
-"                                  stats (cycles ticked vs fast-\n"
-"                                  forwarded, periods, fallbacks)\n"
+"                                  stats (cycles simulated, stall\n"
+"                                  checks the certificate answered)\n"
 "  camj_sweep merge <shard.jsonl>... --out FILE [options]\n"
 "      reduce shard files into one in-order result file + summary\n"
 "      --top K                     top-K table size (default 5)\n"
@@ -231,6 +232,12 @@ cmdRun(int argc, char **argv)
                      "--out FILE\n");
         return usage(stderr);
     }
+    if (!incremental && !cache_dir.empty()) {
+        // The outcome store lives in the incremental evaluators.
+        std::fprintf(stderr, "error: --cache-dir needs the incremental "
+                     "pipeline; drop --full-rebuild\n");
+        return usage(stderr);
+    }
 
     spec::ShardDescriptor descriptor = spec::loadShardFile(input);
     if (!shard_arg.empty()) {
@@ -294,14 +301,18 @@ cmdRun(int argc, char **argv)
     if (verbose) {
         const CycleSimStats &cs = stats.cycleSim;
         const int64_t total = cs.cyclesTicked + cs.cyclesFastForwarded;
+        // The prefix up to "fallback(s)" is a parsed format; new
+        // counters go after it.
         std::printf("cycle-sim: %lld cycle(s) simulated (%lld ticked, "
                     "%lld fast-forwarded), %lld period jump(s), "
-                    "%lld fallback(s)\n",
+                    "%lld fallback(s), %lld stall check(s) "
+                    "certified\n",
                     static_cast<long long>(total),
                     static_cast<long long>(cs.cyclesTicked),
                     static_cast<long long>(cs.cyclesFastForwarded),
                     static_cast<long long>(cs.periodsDetected),
-                    static_cast<long long>(cs.fallbacks));
+                    static_cast<long long>(cs.fallbacks),
+                    static_cast<long long>(cs.stallChecksCertified));
     }
     return 0;
 }

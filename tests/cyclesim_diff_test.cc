@@ -1,32 +1,34 @@
 /**
  * @file
- * Differential pinning of the fast-forward cycle-sim engine against
- * the reference tick loop. Three layers:
+ * Soundness of the pass-B stall certificate (CycleSim::
+ * certifiesNoStall). Whenever the certificate holds, the Timing stage
+ * skips the stall simulation, so every topology it certifies must,
+ * when simulated anyway, drain within the budget the certificate was
+ * asked about and never block its source. Three layers:
  *
- *   1. Randomized topology fuzz: seeded small pipelines (fractional
- *      rates, prefilled memories, port-starved buffers, chained
- *      units) must produce CycleSimResults equal field for field in
- *      both modes — including equal fatal() texts when the pipeline
- *      cannot drain.
- *   2. Every paper study (the 27-entry registry) evaluated end to
- *      end in both modes must produce the same EnergyReport.
- *   3. The 108-point canonical sweep grid evaluated in both modes
- *      must agree point for point, feasible and infeasible alike.
- *
- * Combined with tests/golden/energies.json this pins the ISSUE's
- * core invariant: CycleSim::Mode never changes a result, only how
- * fast it is computed.
+ *   1. Seeded random topologies (wild multi-source pipelines,
+ *      flow-consistent chains, and chains whose capacities straddle
+ *      the certificate's capacity boundary), each at two source
+ *      rates. A certified one is simulated at the SMALLEST budget the
+ *      certificate accepts, which also tests the drain bound.
+ *   2. Exact boundaries: capacity == totalWords certifies, one word
+ *      less does not; each condition is necessary.
+ *   3. Every paper study and every canonical-grid point through the
+ *      pipeline: each point whose stall check was certified has its
+ *      pass-B model simulated; the grid's 84 feasible points must all
+ *      be certified.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cmath>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "common/logging.h"
 #include "core/design.h"
+#include "core/pipeline.h"
 #include "digital/cyclesim.h"
 #include "spec/grid.h"
 #include "spec/samples.h"
@@ -38,79 +40,10 @@ namespace camj
 namespace
 {
 
-/** Scoped process-default mode override (restored on destruction). */
-class ScopedMode
-{
-  public:
-    explicit ScopedMode(CycleSim::Mode m)
-        : prev_(CycleSim::defaultMode())
-    {
-        CycleSim::setDefaultMode(m);
-    }
-    ~ScopedMode() { CycleSim::setDefaultMode(prev_); }
-
-  private:
-    CycleSim::Mode prev_;
-};
-
-/** One run's observable outcome: the full counter set, or the fatal
- *  text and rule code when the pipeline failed to drain. */
-struct Outcome
-{
-    bool threw = false;
-    std::string error;
-    /** ruleCodeName() of the ConfigError; empty for other throws. */
-    std::string code;
-    CycleSimResult result;
-};
-
-Outcome
-runMode(CycleSim &sim, CycleSim::Mode mode, int64_t max_cycles)
-{
-    sim.setMode(mode);
-    Outcome out;
-    try {
-        out.result = sim.run(max_cycles);
-    } catch (const ConfigError &e) {
-        out.threw = true;
-        out.error = e.what();
-        out.code = ruleCodeName(e.code());
-    } catch (const std::exception &e) {
-        out.threw = true;
-        out.error = e.what();
-    }
-    return out;
-}
-
-void
-expectSameOutcome(const Outcome &tick, const Outcome &ffwd,
-                  const std::string &label)
-{
-    ASSERT_EQ(tick.threw, ffwd.threw) << label << ": one mode threw ("
-                                      << tick.error << ffwd.error
-                                      << ")";
-    if (tick.threw) {
-        EXPECT_EQ(tick.error, ffwd.error) << label;
-        // A drain failure is the catalogue's pipeline deadlock.
-        EXPECT_EQ(tick.code, "CAMJ-D001") << label;
-        EXPECT_EQ(ffwd.code, "CAMJ-D001") << label;
-        return;
-    }
-    const CycleSimResult &a = tick.result;
-    const CycleSimResult &b = ffwd.result;
-    EXPECT_EQ(a.cycles, b.cycles) << label;
-    EXPECT_EQ(a.unitBusyCycles, b.unitBusyCycles) << label;
-    EXPECT_EQ(a.memReads, b.memReads) << label;
-    EXPECT_EQ(a.memWrites, b.memWrites) << label;
-    EXPECT_EQ(a.sourceBlockedCycles, b.sourceBlockedCycles) << label;
-    EXPECT_EQ(a.portConflictCycles, b.portConflictCycles) << label;
-    EXPECT_EQ(a.sourceBlocked, b.sourceBlocked) << label;
-    EXPECT_TRUE(sameCounters(a, b)) << label;
-}
-
 /** Build one random small topology. Deliberately skewed toward the
- *  hard cases: fractional rates and retires, prefilled memories,
- *  single-port (starved) buffers, tight capacities, chained units. */
+ *  hard cases: several sources, fractional rates and retires,
+ *  prefilled memories, single-port (starved) buffers, tight
+ *  capacities, chained units. */
 CycleSim
 randomTopology(uint32_t seed)
 {
@@ -153,8 +86,6 @@ randomTopology(uint32_t seed)
         SimUnit unit;
         unit.name = "u" + std::to_string(u);
         SimPort port;
-        // Chain off the previous unit's output half the time, so
-        // multi-stage pipelines with landings in flight are common.
         port.memIdx = (prevOut >= 0 && irand(0, 1) == 0)
                           ? prevOut
                           : mems[static_cast<size_t>(
@@ -162,8 +93,6 @@ randomTopology(uint32_t seed)
         port.needWords = irand(1, 64);
         port.readWords = irand(0, 8);
         port.retireWords = frand(0.05, 4.0);
-        // Cumulative-arrival readiness for roughly half the ports
-        // that have a plausible expected-arrivals figure.
         const int64_t expect =
             totals[static_cast<size_t>(port.memIdx)];
         if (expect > 0 && irand(0, 1) == 0)
@@ -182,14 +111,16 @@ randomTopology(uint32_t seed)
     return sim;
 }
 
-/** Build a flow-consistent chain source -> m0 -> u0 -> m1 -> ... so
- *  that fire counts match the words actually produced upstream; these
- *  topologies usually DRAIN, exercising the jump machinery end to
- *  end rather than the fatal path. Rates and retires are drawn
- *  directly on the 8-bit dyadic grid the simulator quantizes to, so
- *  the fire-count arithmetic here is exact. */
+/** A flow-consistent chain source -> m0 -> u0 -> m1 -> ... whose fire
+ *  counts match the words produced upstream, so it usually drains.
+ *  Rates and retires are drawn on the 8-bit dyadic grid the simulator
+ *  quantizes to. With @p near_boundary, every memory's capacity is
+ *  what it will ever receive plus an offset in [-2, 2], the first
+ *  unit may read a prefilled frame buffer too, and a sink may tap a
+ *  memory a second time (read-port contention): roughly half of these
+ *  sit exactly on either side of the certificate's capacity rule. */
 CycleSim
-consistentChain(uint32_t seed)
+chain(uint32_t seed, bool near_boundary)
 {
     std::mt19937 rng(seed);
     auto irand = [&](int lo, int hi) {
@@ -200,159 +131,308 @@ consistentChain(uint32_t seed)
                           irand(elo, ehi) - 8);
     };
 
-    CycleSim sim;
     const int stages = irand(1, 3);
-    std::vector<int> mems;
-    for (int i = 0; i <= stages; ++i) {
-        SimMemory mem;
-        mem.name = "m" + std::to_string(i);
-        mem.capacityWords = irand(512, 4096);
-        mem.readPorts = irand(1, 2);
-        mem.writePorts = irand(1, 2);
-        mems.push_back(sim.addMemory(mem));
-    }
-
     const int64_t total = irand(100, 3000);
-    sim.addSource({.name = "adc", .totalWords = total,
-                   .wordsPerCycle = dyadic(-1, 3),
-                   .memIdx = mems[0]});
-
+    std::vector<SimUnit> units;
+    std::vector<int64_t> inflow{total};
     double words = static_cast<double>(total);
     for (int i = 0; i < stages; ++i) {
         SimUnit unit;
         unit.name = "u" + std::to_string(i);
         SimPort port;
-        port.memIdx = mems[static_cast<size_t>(i)];
+        port.memIdx = i;
         port.needWords = irand(1, 16);
         port.readWords = irand(0, 4);
         port.retireWords = dyadic(0, 2); // [0.5, 4): no blow-up
-        if (irand(0, 1) == 0)
+        if (near_boundary || irand(0, 1) == 0)
             port.expectedWords = words;
-        unit.outMemIdx =
-            i + 1 < stages ? mems[static_cast<size_t>(i + 1)] : -1;
+        unit.outMemIdx = i + 1 < stages ? i + 1 : -1;
         unit.outWords = irand(1, 2);
         unit.latency = irand(1, 32);
-        // Retire (almost) everything that will ever arrive, so the
-        // upstream memory keeps space for its producer to finish.
+        // Retire (almost) everything that will ever arrive.
         unit.totalFires = std::max<int64_t>(
             1, static_cast<int64_t>(
                    (words - static_cast<double>(port.needWords)) /
                    port.retireWords));
         words = static_cast<double>(unit.totalFires * unit.outWords);
+        if (unit.outMemIdx >= 0)
+            inflow.push_back(unit.totalFires * unit.outWords);
         unit.inputs.push_back(port);
-        sim.addUnit(unit);
+        units.push_back(std::move(unit));
+    }
+
+    CycleSim sim;
+    for (size_t i = 0; i < inflow.size(); ++i) {
+        SimMemory mem;
+        mem.name = "m" + std::to_string(i);
+        mem.capacityWords =
+            near_boundary
+                ? std::max<int64_t>(1, inflow[i] + irand(-2, 2))
+                : irand(512, 4096);
+        mem.readPorts = irand(1, 2);
+        mem.writePorts = irand(1, 2);
+        sim.addMemory(mem);
+    }
+    sim.addSource({.name = "adc", .totalWords = total,
+                   .wordsPerCycle = dyadic(-1, 3), .memIdx = 0});
+    if (near_boundary && irand(0, 1) == 0) {
+        const int frame = sim.addMemory(
+            {.name = "frame", .capacityWords = 64, .prefilled = true});
+        units[0].inputs.push_back(
+            {.memIdx = frame, .needWords = 4, .readWords = 2});
+    }
+    for (SimUnit &unit : units)
+        sim.addUnit(std::move(unit));
+    if (near_boundary && irand(0, 1) == 0) {
+        SimUnit tap;
+        tap.name = "tap";
+        const int m = irand(0, static_cast<int>(inflow.size()) - 1);
+        tap.inputs.push_back(
+            {.memIdx = m, .needWords = 1, .readWords = 1,
+             .retireWords = 0.0,
+             .expectedWords =
+                 static_cast<double>(inflow[static_cast<size_t>(m)])});
+        tap.totalFires = irand(1, 200);
+        tap.latency = irand(1, 8);
+        sim.addUnit(tap);
     }
     return sim;
 }
 
-TEST(CycleSimDiff, RandomTopologiesMatchTickLoop)
+/** The smallest budget the certificate accepts for @p sim (which it
+ *  accepts at @p budget): the certificate's own drain bound. */
+int64_t
+smallestCertifiedBudget(const CycleSim &sim, int64_t budget)
 {
-    setLoggingEnabled(false);
-    int drained = 0, fatal = 0;
-    for (uint32_t i = 0; i < 120; ++i) {
-        const bool wild = (i % 2) == 0;
-        auto build = [&] {
-            return wild ? randomTopology(0xC0FFEE + i)
-                        : consistentChain(0xBEEF00 + i);
-        };
-        CycleSim tickSim = build();
-        CycleSim ffwdSim = build();
-        const Outcome tick =
-            runMode(tickSim, CycleSim::Mode::TickLoop, 200000);
-        const Outcome ffwd =
-            runMode(ffwdSim, CycleSim::Mode::FastForward, 200000);
-        expectSameOutcome(tick, ffwd,
-                          "topology " + std::to_string(i));
-        (tick.threw ? fatal : drained) += 1;
+    int64_t lo = 0, hi = budget; // certified at hi, not at lo
+    while (hi - lo > 1) {
+        const int64_t mid = lo + (hi - lo) / 2;
+        (sim.certifiesNoStall(0, mid) ? hi : lo) = mid;
     }
-    // The generator must actually exercise both halves of the space.
-    EXPECT_GE(drained, 10);
-    EXPECT_GE(fatal, 10);
+    return hi;
 }
 
-TEST(CycleSimDiff, StalledPipelineFatalTextsMatch)
+/** Simulate a certified @p sim at its smallest certified budget: it
+ *  must drain and never block. */
+void
+expectCertifiedRunIsClean(CycleSim sim, int64_t budget,
+                          const std::string &label)
 {
-    setLoggingEnabled(false);
-    // A source four times faster than its consumer into a tiny
-    // buffer: the canonical Sec. 4.1 stall. The fast-forward engine
-    // must reach the same fatal() — including the oldest-landing and
-    // most-backlogged-memory diagnostics — without ticking out the
-    // full budget.
-    auto build = [] {
-        CycleSim sim;
-        const int m = sim.addMemory(
-            {.name = "buf", .capacityWords = 16});
-        const int out = sim.addMemory(
-            {.name = "acc", .capacityWords = 1 << 24});
-        sim.addSource({.name = "adc", .totalWords = 1 << 20,
-                       .wordsPerCycle = 4.0, .memIdx = m});
-        SimUnit u;
-        u.name = "slow";
-        u.inputs.push_back({.memIdx = m, .needWords = 1,
-                            .readWords = 1, .retireWords = 1.0});
-        u.outMemIdx = out;
-        u.outWords = 1;
-        u.totalFires = 1 << 20;
-        u.latency = 4;
-        sim.addUnit(u);
-        return sim;
-    };
-    // The drain needs ~1M cycles at the consumer's 1 word/cycle; a
-    // 500k budget cuts it mid-flight with landings still pending.
-    CycleSim tickSim = build();
-    CycleSim ffwdSim = build();
-    const Outcome tick =
-        runMode(tickSim, CycleSim::Mode::TickLoop, 500000);
-    const Outcome ffwd =
-        runMode(ffwdSim, CycleSim::Mode::FastForward, 500000);
-    ASSERT_TRUE(tick.threw);
-    expectSameOutcome(tick, ffwd, "stall");
-    EXPECT_NE(tick.error.find("most backlogged mem"),
-              std::string::npos);
-    EXPECT_NE(tick.error.find("oldest landing"), std::string::npos);
-}
-
-/** Evaluate a spec end to end under @p mode; full-precision total or
- *  the failure text. */
-std::string
-evalUnderMode(const spec::DesignSpec &spec, CycleSim::Mode mode)
-{
-    ScopedMode scoped(mode);
+    const int64_t bound = smallestCertifiedBudget(sim, budget);
     try {
-        Design d = spec.materialize();
-        const EnergyReport r = d.simulate();
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "ok %.17g", r.total());
-        return buf;
-    } catch (const std::exception &e) {
-        return std::string("err ") + e.what();
+        const CycleSimResult r = sim.run(bound);
+        EXPECT_FALSE(r.sourceBlocked) << label;
+        EXPECT_EQ(r.sourceBlockedCycles, 0) << label;
+        EXPECT_LE(r.cycles, bound) << label;
+    } catch (const ConfigError &e) {
+        ADD_FAILURE() << label << ": certified but did not drain within "
+                      << bound << " cycles: " << e.what();
     }
 }
 
-TEST(CycleSimDiff, PaperStudiesMatchTickLoop)
+TEST(StallCertificate, RandomCertifiedTopologiesNeverStall)
 {
     setLoggingEnabled(false);
-    for (const PaperStudy &study : testfix::studies()) {
-        EXPECT_EQ(evalUnderMode(study.spec, CycleSim::Mode::TickLoop),
-                  evalUnderMode(study.spec,
-                                CycleSim::Mode::FastForward))
-            << study.key;
+    constexpr int64_t kBudget = 200000;
+    int certified = 0, refused = 0;
+    for (uint32_t i = 0; i < 180; ++i) {
+        CycleSim sim = i % 3 == 0   ? randomTopology(0xC0FFEE + i)
+                       : i % 3 == 1 ? chain(0xBEEF00 + i, false)
+                                    : chain(0xFACE00 + i, true);
+        // Two rates per topology, as the pipeline asks at two: the
+        // built rate, then four times faster.
+        for (int pass = 0; pass < 2; ++pass) {
+            const std::string label = "topology " + std::to_string(i) +
+                                      " rate " + std::to_string(pass);
+            if (sim.certifiesNoStall(0, kBudget)) {
+                ++certified;
+                expectCertifiedRunIsClean(sim, kBudget, label);
+            } else {
+                ++refused;
+            }
+            sim.setSourceRate(0, 4.0 + 0.5 * static_cast<double>(i % 7));
+        }
+    }
+    // The generators must exercise both verdicts.
+    EXPECT_GE(certified, 60);
+    EXPECT_GE(refused, 60);
+}
+
+/** source (rate 4) -> buf -> pass (1 word/cycle) -> out -> sink. */
+CycleSim
+boundaryChain(int64_t buf_capacity, int64_t out_capacity)
+{
+    CycleSim sim;
+    const int buf =
+        sim.addMemory({.name = "buf", .capacityWords = buf_capacity});
+    const int out =
+        sim.addMemory({.name = "out", .capacityWords = out_capacity});
+    sim.addSource({.name = "adc", .totalWords = 1000,
+                   .wordsPerCycle = 4.0, .memIdx = buf});
+    SimUnit pass;
+    pass.name = "pass";
+    pass.inputs.push_back({.memIdx = buf, .needWords = 1,
+                           .readWords = 1, .retireWords = 1.0,
+                           .expectedWords = 1000.0});
+    pass.outMemIdx = out;
+    pass.outWords = 2;
+    pass.totalFires = 1000;
+    pass.latency = 3;
+    sim.addUnit(pass);
+    SimUnit sink;
+    sink.name = "sink";
+    sink.inputs.push_back({.memIdx = out, .needWords = 2,
+                           .readWords = 2, .retireWords = 2.0,
+                           .expectedWords = 2000.0});
+    sink.totalFires = 1000;
+    sink.latency = 1;
+    sim.addUnit(sink);
+    return sim;
+}
+
+TEST(StallCertificate, CapacityBoundaryIsExact)
+{
+    constexpr int64_t kBudget = CycleSim::kDefaultMaxCycles;
+    // The source memory holds exactly totalWords: certified, and the
+    // simulation agrees.
+    CycleSim exact = boundaryChain(1000, 2000);
+    ASSERT_TRUE(exact.certifiesNoStall(0, kBudget));
+    const CycleSimResult r = exact.run();
+    EXPECT_FALSE(r.sourceBlocked);
+    // One word less on either memory: not certified.
+    EXPECT_FALSE(boundaryChain(999, 2000).certifiesNoStall(0, kBudget));
+    EXPECT_FALSE(boundaryChain(1000, 1999).certifiesNoStall(0, kBudget));
+    // (c): a budget below the drain bound is refused. The frame takes
+    // at least 1000 cycles at the consumer's one fire per cycle.
+    EXPECT_FALSE(exact.certifiesNoStall(0, 1000));
+    EXPECT_GE(smallestCertifiedBudget(exact, kBudget), r.cycles);
+}
+
+TEST(StallCertificate, EachConditionIsNecessary)
+{
+    constexpr int64_t kBudget = CycleSim::kDefaultMaxCycles;
+    // (a) A second source anywhere.
+    {
+        CycleSim sim = boundaryChain(1000, 2000);
+        sim.addSource({.name = "adc2", .totalWords = 10,
+                       .wordsPerCycle = 1.0, .memIdx = 1});
+        EXPECT_FALSE(sim.certifiesNoStall(0, kBudget));
+    }
+    // (a) A unit writing the source's memory.
+    {
+        CycleSim sim = boundaryChain(1000, 2000);
+        SimUnit echo;
+        echo.name = "echo";
+        echo.inputs.push_back({.memIdx = 1, .needWords = 1,
+                               .expectedWords = 2000.0});
+        echo.outMemIdx = 0;
+        echo.totalFires = 0;
+        sim.addUnit(echo);
+        EXPECT_FALSE(sim.certifiesNoStall(0, kBudget));
+    }
+    // (b) An occupancy-paced port (expectedWords == 0).
+    {
+        CycleSim sim;
+        const int m = sim.addMemory({.name = "m", .capacityWords = 100});
+        sim.addSource({.name = "adc", .totalWords = 100,
+                       .wordsPerCycle = 1.0, .memIdx = m});
+        SimUnit u;
+        u.name = "u";
+        u.inputs.push_back({.memIdx = m});
+        u.totalFires = 100;
+        sim.addUnit(u);
+        EXPECT_FALSE(sim.certifiesNoStall(0, kBudget));
+    }
+    // (b) A last fire that waits for more than will ever arrive.
+    {
+        CycleSim sim;
+        const int m = sim.addMemory({.name = "m", .capacityWords = 100});
+        sim.addSource({.name = "adc", .totalWords = 100,
+                       .wordsPerCycle = 1.0, .memIdx = m});
+        SimUnit u;
+        u.name = "u";
+        u.inputs.push_back({.memIdx = m, .needWords = 1,
+                            .retireWords = 1.0,
+                            .expectedWords = 200.0});
+        u.totalFires = 101;
+        sim.addUnit(u);
+        EXPECT_FALSE(sim.certifiesNoStall(0, kBudget));
+    }
+    // (b) Two units feeding each other.
+    {
+        CycleSim sim = boundaryChain(1000, 2000);
+        const int a = sim.addMemory({.name = "a", .capacityWords = 64});
+        const int b = sim.addMemory({.name = "b", .capacityWords = 64});
+        SimUnit x;
+        x.name = "x";
+        x.inputs.push_back({.memIdx = a, .expectedWords = 1.0});
+        x.outMemIdx = b;
+        x.totalFires = 1;
+        sim.addUnit(x);
+        SimUnit y = x;
+        y.name = "y";
+        y.inputs[0].memIdx = b;
+        y.outMemIdx = a;
+        sim.addUnit(y);
+        EXPECT_FALSE(sim.certifiesNoStall(0, kBudget));
+    }
+    // An invalid source index is API misuse.
+    try {
+        boundaryChain(1000, 2000).certifiesNoStall(1, kBudget);
+        ADD_FAILURE() << "no throw on an invalid source index";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(e.code(), RuleCode::D003);
     }
 }
 
-TEST(CycleSimDiff, CanonicalGridMatchesTickLoop)
+/** Run @p spec through the pipeline. When its pass-B stall check was
+ *  certified, simulate the pass-B model anyway and require a clean
+ *  drain. Returns 1 when certified, 0 when the point ran otherwise,
+ *  -1 when it failed. */
+int
+checkPipelinePoint(const spec::DesignSpec &spec, const std::string &label)
+{
+    EvalPipeline pipeline;
+    try {
+        Design design = spec.materialize();
+        pipeline.runAll(design);
+    } catch (const ConfigError &) {
+        return -1;
+    }
+    if (pipeline.simStats().stallChecksCertified == 0)
+        return 0;
+    expectCertifiedRunIsClean(pipeline.stallCheckModel(),
+                              CycleSim::kDefaultMaxCycles, label);
+    return 1;
+}
+
+TEST(StallCertificate, CertifiedPaperStudiesNeverStall)
+{
+    setLoggingEnabled(false);
+    int certified = 0;
+    for (const PaperStudy &study : testfix::studies()) {
+        if (checkPipelinePoint(study.spec, study.key) == 1)
+            ++certified;
+    }
+    EXPECT_GT(certified, 0);
+}
+
+TEST(StallCertificate, CertifiesEveryFeasibleCanonicalGridPoint)
 {
     setLoggingEnabled(false);
     const spec::SweepDocument doc = spec::sampleDetectorStudy();
     const std::vector<spec::DesignSpec> points =
         spec::expandGrid(doc.base, doc.grid);
-    ASSERT_GE(points.size(), 100u);
+    ASSERT_EQ(points.size(), 108u);
+    int feasible = 0, certified = 0;
     for (size_t i = 0; i < points.size(); ++i) {
-        EXPECT_EQ(evalUnderMode(points[i], CycleSim::Mode::TickLoop),
-                  evalUnderMode(points[i],
-                                CycleSim::Mode::FastForward))
-            << "grid point " << i;
+        const int verdict =
+            checkPipelinePoint(points[i], "grid point " + std::to_string(i));
+        feasible += verdict >= 0 ? 1 : 0;
+        certified += verdict == 1 ? 1 : 0;
     }
+    EXPECT_EQ(feasible, 84);
+    EXPECT_EQ(certified, 84);
 }
 
 } // namespace

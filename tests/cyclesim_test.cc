@@ -244,23 +244,40 @@ TEST(CycleSim, TwoPortUnitNeedsBothInputs)
 
 TEST(CycleSim, RejectsMalformedConfigs)
 {
+    // The pipeline only builds topologies from validated designs, so
+    // a malformed topology is API misuse: D003.
+    auto expectMisuse = [](auto &&call, const char *what) {
+        try {
+            call();
+            ADD_FAILURE() << what << ": no throw";
+        } catch (const ConfigError &e) {
+            EXPECT_EQ(e.code(), RuleCode::D003) << what;
+        }
+    };
     CycleSim sim;
-    EXPECT_THROW(sim.addMemory({.name = "", .capacityWords = 1}),
-                 ConfigError);
-    EXPECT_THROW(sim.addMemory({.name = "m", .capacityWords = 0}),
-                 ConfigError);
+    expectMisuse([&] { sim.addMemory({.name = "", .capacityWords = 1}); },
+                 "empty memory name");
+    expectMisuse([&] { sim.addMemory({.name = "m", .capacityWords = 0}); },
+                 "zero capacity");
     int m = sim.addMemory({.name = "m", .capacityWords = 16});
-    EXPECT_THROW(sim.addSource({.name = "s", .totalWords = 1,
-                                .wordsPerCycle = 0.0, .memIdx = m}),
-                 ConfigError);
-    EXPECT_THROW(sim.addSource({.name = "s", .totalWords = 1,
-                                .wordsPerCycle = 1.0, .memIdx = 7}),
-                 ConfigError);
+    expectMisuse(
+        [&] {
+            sim.addSource({.name = "s", .totalWords = 1,
+                           .wordsPerCycle = 0.0, .memIdx = m});
+        },
+        "zero source rate");
+    expectMisuse(
+        [&] {
+            sim.addSource({.name = "s", .totalWords = 1,
+                           .wordsPerCycle = 1.0, .memIdx = 7});
+        },
+        "bad source memory");
     SimUnit u;
     u.name = "u";
-    EXPECT_THROW(sim.addUnit(u), ConfigError); // no inputs
+    expectMisuse([&] { sim.addUnit(u); }, "no inputs");
     u.inputs.push_back({.memIdx = 9});
-    EXPECT_THROW(sim.addUnit(u), ConfigError); // bad memory
+    expectMisuse([&] { sim.addUnit(u); }, "bad input memory");
+    expectMisuse([&] { sim.setSourceRate(0, 1.0); }, "bad source index");
 }
 
 // Property sweep: no stall whenever the sustained source rate does

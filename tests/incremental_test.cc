@@ -11,15 +11,18 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/logging.h"
 #include "explore/incremental.h"
+#include "explore/jsonl.h"
 #include "explore/sink.h"
 #include "explore/sweep.h"
 #include "spec/grid.h"
 #include "spec/samples.h"
+#include "spec/shard.h"
 #include "usecases/studies.h"
 
 namespace camj
@@ -400,7 +403,11 @@ TEST(IncrementalEvaluator, StrictModeRethrowsLikeTheSimulator)
     IncrementalEvaluator inc(opts);
     spec::DesignSpec fast = spec::sampleDetectorSpec(100000.0, 65);
     EXPECT_THROW(inc.evaluate(fast), ConfigError);
-    EXPECT_FALSE(inc.hasCompiledPoint());
+    // The point failed inside the pipeline (the frame budget, in the
+    // Timing stage), so it stays compiled as a base for later points.
+    EXPECT_TRUE(inc.hasCompiledPoint());
+    EXPECT_THROW(inc.evaluate(fast), ConfigError);
+    EXPECT_EQ(inc.stats().fullBuilds, 1u);
 }
 
 TEST(IncrementalEvaluator, RejectsInvalidOptions)
@@ -496,6 +503,47 @@ TEST(IncrementalIdentity, CanonicalGridDiffFallbackMatchesToo)
     EXPECT_EQ(inc.stats().diffsComputed + inc.stats().fullBuilds +
                   inc.stats().signatureHits + inc.stats().identicalHits,
               source.totalPoints());
+}
+
+TEST(IncrementalIdentity, FrameBudgetShardIsOneFullBuild)
+{
+    // The shape of a fresh served job's second shard: a contiguous
+    // half of a grid whose rates all break the D002 frame budget, so
+    // every point fails in the Timing stage. The first failure stays
+    // compiled; every later point re-runs from Timing on it.
+    spec::SweepDocument doc = spec::sampleDetectorStudy();
+    doc.grid.axes[0].values = {json::Value(480.0), json::Value(960.0),
+                               json::Value(1920.0),
+                               json::Value(3840.0)};
+    spec::GridSpecSource grid = doc.source();
+    const spec::ShardAssignment second =
+        spec::planShards(grid.totalPoints(), 2).shards[1];
+    ASSERT_GT(second.count(), 1u);
+
+    IncrementalEvaluator inc(reportOptions());
+    std::optional<size_t> last;
+    for (size_t local = 0; local < second.count(); ++local) {
+        const size_t idx = second.globalIndex(local);
+        const spec::DesignSpec s = grid.at(idx);
+        const SimulationOutcome out =
+            last ? inc.evaluate(s, *grid.changedPaths(*last, idx))
+                 : inc.evaluate(s);
+        last = idx;
+        const SimulationOutcome ref = referenceOutcome(s);
+        EXPECT_FALSE(ref.feasible) << s.name;
+        EXPECT_EQ(out.ruleCode, ref.ruleCode) << s.name;
+        expectIdenticalOutcome(out, ref, s.name);
+    }
+    EXPECT_EQ(inc.stats().fullBuilds, 1u);
+    EXPECT_EQ(inc.stats().incrementalRuns, second.count() - 1);
+
+    // The shard's bytes, as a served worker writes them, equal a
+    // from-scratch evaluation of every point.
+    std::ostringstream served, reference;
+    runShard(grid, second, SweepOptions{.threads = 1, .incremental = true},
+             served);
+    runShard(grid, second, SweepOptions{.threads = 1}, reference);
+    EXPECT_EQ(served.str(), reference.str());
 }
 
 TEST(IncrementalIdentity, SweepEngineIncrementalMatchesSerial)

@@ -815,6 +815,22 @@ TEST(CamjSweepCli, ArgumentErrorsExitTwoWithUsage)
     EXPECT_EQ(cliExit("run " + study + " --shard nonsense"), 2);
 }
 
+TEST(CamjSweepCli, FullRebuildWithCacheDirIsAUsageError)
+{
+    // The outcome store lives in the incremental evaluators: the pair
+    // is refused before anything runs or any directory is created.
+    const fs::path dir = scratchDir("cli_full_rebuild_cache");
+    writeFile(dir / "study.json", spec::toJson(smallStudy()));
+    const fs::path cache = dir / "store";
+    const fs::path out = dir / "out.jsonl";
+    EXPECT_EQ(cliExit("run " + (dir / "study.json").string() +
+                      " --full-rebuild --cache-dir " + cache.string() +
+                      " --out " + out.string()),
+              2);
+    EXPECT_FALSE(fs::exists(cache));
+    EXPECT_FALSE(fs::exists(out));
+}
+
 TEST(CamjSweepCli, LintSubcommandReportsFindings)
 {
     const fs::path dir = scratchDir("cli_lint");

@@ -176,6 +176,20 @@ TEST(SweepEngine, EmptySweepAndThreadClamping)
     EXPECT_THROW(SweepEngine(SweepOptions{.threads = -1}), ConfigError);
 }
 
+TEST(SweepEngine, CacheDirWithoutIncrementalIsApiMisuse)
+{
+    // Only the incremental evaluators open the outcome store; a
+    // directory the engine would silently ignore is refused.
+    try {
+        SweepEngine engine(SweepOptions{.cacheDir = "unused-store"});
+        ADD_FAILURE() << "cacheDir without incremental was accepted";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(e.code(), RuleCode::D003);
+    }
+    EXPECT_NO_THROW(SweepEngine(
+        SweepOptions{.incremental = true, .cacheDir = "unused-store"}));
+}
+
 TEST(SweepEngine, FrameCountFlowsIntoSweepResults)
 {
     SweepOptions one, hundred;
