@@ -12,7 +12,8 @@
  *      rates. A certified one is simulated at the SMALLEST budget the
  *      certificate accepts, which also tests the drain bound.
  *   2. Exact boundaries: capacity == totalWords certifies, one word
- *      less does not; each condition is necessary.
+ *      less does not; each condition is necessary; a refused stall
+ *      fails as the D001 pipeline deadlock with its diagnostics.
  *   3. Every paper study and every canonical-grid point through the
  *      pipeline: each point whose stall check was certified has its
  *      pass-B model simulated; the grid's 84 feasible points must all
@@ -306,6 +307,43 @@ TEST(StallCertificate, CapacityBoundaryIsExact)
     // at least 1000 cycles at the consumer's one fire per cycle.
     EXPECT_FALSE(exact.certifiesNoStall(0, 1000));
     EXPECT_GE(smallestCertifiedBudget(exact, kBudget), r.cycles);
+}
+
+TEST(StallCertificate, StalledPipelineIsRefusedAndFailsWithD001)
+{
+    setLoggingEnabled(false);
+    // A source four times faster than its consumer into a tiny
+    // buffer: the canonical Sec. 4.1 stall. The certificate must
+    // refuse it, and the simulation it then runs must fail as the
+    // catalogue's pipeline deadlock with the drain diagnostics.
+    CycleSim sim;
+    const int m = sim.addMemory({.name = "buf", .capacityWords = 16});
+    const int out = sim.addMemory({.name = "acc", .capacityWords = 1 << 24});
+    sim.addSource({.name = "adc", .totalWords = 1 << 20,
+                   .wordsPerCycle = 4.0, .memIdx = m});
+    SimUnit u;
+    u.name = "slow";
+    u.inputs.push_back({.memIdx = m, .needWords = 1, .readWords = 1,
+                        .retireWords = 1.0});
+    u.outMemIdx = out;
+    u.outWords = 1;
+    u.totalFires = 1 << 20;
+    u.latency = 4;
+    sim.addUnit(u);
+    // The drain needs ~1M cycles at the consumer's 1 word/cycle; a
+    // 500k budget cuts it mid-flight with landings still pending.
+    constexpr int64_t kBudget = 500000;
+    EXPECT_FALSE(sim.certifiesNoStall(0, kBudget));
+    try {
+        sim.run(kBudget);
+        ADD_FAILURE() << "stalled pipeline drained";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(e.code(), RuleCode::D001);
+        const std::string text = e.what();
+        EXPECT_NE(text.find("oldest landing"), std::string::npos) << text;
+        EXPECT_NE(text.find("most backlogged mem"), std::string::npos)
+            << text;
+    }
 }
 
 TEST(StallCertificate, EachConditionIsNecessary)
