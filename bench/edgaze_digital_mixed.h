@@ -35,10 +35,7 @@ sweepEdgazeDigitalMixed()
         },
         4);
     CollectSink sink;
-    // Ride the incremental staged-evaluation path (bit-identical to
-    // full rebuilds; see explore/incremental.h).
-    SweepEngine(SweepOptions{.incremental = true})
-        .runStream(source, sink);
+    SweepEngine().runStream(source, sink);
     for (const SweepResult &r : sink.results()) {
         if (!r.feasible) {
             std::fprintf(stderr, "error: %s is infeasible: %s\n",

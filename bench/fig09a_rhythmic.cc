@@ -77,9 +77,7 @@ main()
         return true;
     });
     InOrderSink inorder(print);
-    // Ride the incremental staged-evaluation path (bit-identical
-    // to full rebuilds; see explore/incremental.h).
-    SweepEngine(SweepOptions{.incremental = true}).runStream(source, inorder);
+    SweepEngine().runStream(source, inorder);
     if (failed)
         return 1;
 

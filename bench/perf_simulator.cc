@@ -412,7 +412,6 @@ BM_SweepStreaming(benchmark::State &state)
     std::vector<spec::DesignSpec> specs = sweepBatch(1);
     SweepOptions options;
     options.threads = static_cast<int>(state.range(0));
-    options.reuseMaterializations = true;
     SweepEngine engine(options);
     for (auto _ : state) {
         spec::VectorSpecSource source(specs);
@@ -513,24 +512,29 @@ timeSweep(const SweepEngine &engine,
     return std::chrono::duration<double>(t1 - t0).count();
 }
 
-/** Best-of-3 serial vs. threaded wall-clock of one spec batch. */
+/** Best-of-3 wall-clock of one spec batch: the full-rebuild
+ *  reference (runSerial) and the engine at one and at N threads. */
 struct SweepTiming
 {
     double serialSeconds = 1e30;
+    double oneThreadSeconds = 1e30;
     double threadedSeconds = 1e30;
 };
 
 SweepTiming
-measureSweep(const SweepEngine &serial_engine,
+measureSweep(const SweepEngine &one_thread_engine,
              const SweepEngine &threaded_engine,
              const std::vector<spec::DesignSpec> &specs)
 {
     // Warm-up, then best-of-3 to tame scheduler noise.
-    timeSweep(serial_engine, specs, true);
+    timeSweep(one_thread_engine, specs, true);
     SweepTiming t;
     for (int rep = 0; rep < 3; ++rep) {
         t.serialSeconds = std::min(
-            t.serialSeconds, timeSweep(serial_engine, specs, true));
+            t.serialSeconds, timeSweep(one_thread_engine, specs, true));
+        t.oneThreadSeconds = std::min(
+            t.oneThreadSeconds,
+            timeSweep(one_thread_engine, specs, false));
         t.threadedSeconds = std::min(
             t.threadedSeconds,
             timeSweep(threaded_engine, specs, false));
@@ -538,8 +542,10 @@ measureSweep(const SweepEngine &serial_engine,
     return t;
 }
 
-/** Write one designPoints/serialSweep/threadedSweep/speedup group
- *  into @p obj — the shared shape of both artifact sections. */
+/** Write one designPoints/serialSweep/oneThreadSweep/threadedSweep/
+ *  speedup group into @p obj — the shared shape of both artifact
+ *  sections. serialSweep is the full-rebuild reference; speedup is
+ *  the engine's own thread scaling (1 vs N incremental workers). */
 void
 setSweepMembers(json::Value &obj, size_t points, int threads,
                 const SweepTiming &t)
@@ -553,6 +559,11 @@ setSweepMembers(json::Value &obj, size_t points, int threads,
     serial.set("designsPerSec", json::Value(n / t.serialSeconds));
     obj.set("serialSweep", std::move(serial));
 
+    json::Value one = json::Value::makeObject();
+    one.set("seconds", json::Value(t.oneThreadSeconds));
+    one.set("designsPerSec", json::Value(n / t.oneThreadSeconds));
+    obj.set("oneThreadSweep", std::move(one));
+
     json::Value threaded = json::Value::makeObject();
     threaded.set("threads", json::Value(threads));
     threaded.set("seconds", json::Value(t.threadedSeconds));
@@ -560,7 +571,7 @@ setSweepMembers(json::Value &obj, size_t points, int threads,
     obj.set("threadedSweep", std::move(threaded));
 
     obj.set("speedup",
-            json::Value(t.serialSeconds / t.threadedSeconds));
+            json::Value(t.oneThreadSeconds / t.threadedSeconds));
 }
 
 /** Wall-clock one streaming run over @p specs; returns seconds. */
@@ -616,7 +627,7 @@ shardedStudyDocument()
 }
 
 /** One shard's JSONL bytes, exactly as `camj_sweep run` writes them
- *  by default (runShard, incremental, in-order, global indices), on a
+ *  (runShard, incremental, in-order, global indices), on a
  *  1-thread engine — the unit of work one shard process performs. */
 std::string
 runShardJsonl(const spec::SweepDocument &doc,
@@ -624,10 +635,7 @@ runShardJsonl(const spec::SweepDocument &doc,
 {
     std::ostringstream out;
     spec::GridSpecSource grid = doc.source();
-    SweepOptions options;
-    options.threads = 1;
-    options.incremental = true;
-    runShard(grid, assignment, options, out);
+    runShard(grid, assignment, SweepOptions{.threads = 1}, out);
     return out.str();
 }
 
@@ -710,6 +718,42 @@ lineFor(size_t index, const spec::DesignSpec &spec,
     return sweepResultToJsonl(r);
 }
 
+/**
+ * Wall-clock the full-rebuild reference over the points @p order
+ * names out of @p grid: expand each, SweepEngine::runSerial (a fresh
+ * Simulator::run per spec), and one JSONL line per result, stamped
+ * with its position in @p order, as JsonlSink writes it. @p bytes
+ * receives the lines.
+ */
+double
+timeFullRebuild(const spec::IndexableSpecSource &grid,
+                const std::vector<size_t> &order, std::string *bytes)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<spec::DesignSpec> specs;
+    specs.reserve(order.size());
+    for (size_t idx : order)
+        specs.push_back(grid.at(idx));
+    std::string out;
+    for (const SweepResult &r :
+         SweepEngine(SweepOptions{.threads = 1}).runSerial(specs))
+        out += sweepResultToJsonl(r) + "\n";
+    const auto t1 = std::chrono::steady_clock::now();
+    if (bytes != nullptr)
+        *bytes = std::move(out);
+    return std::chrono::duration<double>(t1 - t0).count();
+}
+
+/** The indices 0 .. @p n - 1: a grid in its own order. */
+std::vector<size_t>
+gridOrder(size_t n)
+{
+    std::vector<size_t> order(n);
+    for (size_t i = 0; i < n; ++i)
+        order[i] = i;
+    return order;
+}
+
 /** Write a seconds/designsPerSec pair into @p obj under @p key. */
 void
 setTimedRun(json::Value &obj, const char *key, size_t points,
@@ -737,11 +781,11 @@ writeBenchJson()
     const int threads = 4;
     const int copies = g_points / 16 > 0 ? g_points / 16 : 1;
     std::vector<spec::DesignSpec> specs = sweepBatch(copies);
-    SweepEngine serial_engine(SweepOptions{.threads = 1});
+    SweepEngine one_thread_engine(SweepOptions{.threads = 1});
     SweepEngine threaded_engine(SweepOptions{.threads = threads});
 
     const SweepTiming sample =
-        measureSweep(serial_engine, threaded_engine, specs);
+        measureSweep(one_thread_engine, threaded_engine, specs);
 
     json::Value doc = json::Value::makeObject();
     doc.set("bench", json::Value("perf_simulator"));
@@ -804,18 +848,15 @@ writeBenchJson()
     // the throughput of the heavyweight production workloads.
     std::vector<spec::DesignSpec> uspecs = allPaperStudySpecs();
     const SweepTiming usecase_t =
-        measureSweep(serial_engine, threaded_engine, uspecs);
+        measureSweep(one_thread_engine, threaded_engine, uspecs);
     json::Value usecase = json::Value::makeObject();
     setSweepMembers(usecase, uspecs.size(), threads, usecase_t);
     doc.set("usecaseSweep", std::move(usecase));
 
     // Streaming sweep: the SAME spec set as the batch sections
-    // through runStream (callback sink, per-worker materialization
-    // cache) — the acceptance bar is throughput >= the batch path.
-    SweepOptions stream_options;
-    stream_options.threads = threads;
-    stream_options.reuseMaterializations = true;
-    SweepEngine stream_engine(stream_options);
+    // through runStream (callback sink) — the acceptance bar is
+    // throughput >= the batch path.
+    SweepEngine stream_engine(SweepOptions{.threads = threads});
     timeStreaming(stream_engine, specs); // warm-up
     double stream_seconds = 1e30;
     for (int rep = 0; rep < 3; ++rep)
@@ -915,10 +956,7 @@ writeBenchJson()
         std::ostringstream out;
         JsonlSink lines(out);
         InOrderSink ordered(lines);
-        SweepOptions o;
-        o.threads = 1;
-        o.incremental = true;
-        SweepEngine pipeline_engine(o);
+        SweepEngine pipeline_engine(SweepOptions{.threads = 1});
         const auto t0 = std::chrono::steady_clock::now();
         if (legacy) {
             LegacyGridSource src(exp_doc.base, exp_doc.grid);
@@ -960,25 +998,22 @@ writeBenchJson()
     const double exp_newd = n_expd / exp_new_seconds;
     const double exp_legacyd = n_expd / exp_legacy_seconds;
 
-    // Incremental sweep: the canonical grid once through the classic
-    // full-rebuild path and once through per-worker
-    // IncrementalEvaluators (SweepOptions::incremental), single
-    // thread each so the comparison isolates the staged
-    // re-evaluation win on the 1-core CI container. The two in-order
-    // JSONL outputs must be byte-identical — the incremental path is
-    // an optimization, never a different answer.
+    // Incremental sweep: the canonical grid once through the
+    // full-rebuild reference (runSerial) and once through a 1-thread
+    // SweepEngine (per-worker IncrementalEvaluator), single thread
+    // each so the comparison isolates the staged re-evaluation win.
+    // The two in-order JSONL outputs must be byte-identical — the
+    // incremental path is an optimization, never a different answer.
     const spec::SweepDocument inc_doc = shardedStudyDocument();
     const size_t n_inc = inc_doc.grid.points();
-    auto time_grid_jsonl = [&](bool incremental, std::string *bytes) {
+    const spec::GridSpecSource inc_grid = inc_doc.source();
+    const std::vector<size_t> inc_order = gridOrder(n_inc);
+    auto time_grid_jsonl = [&](std::string *bytes) {
         std::ostringstream out;
         spec::GridSpecSource source = inc_doc.source();
         JsonlSink lines(out);
         InOrderSink ordered(lines);
-        SweepOptions o;
-        o.threads = 1;
-        o.incremental = incremental;
-        o.reuseMaterializations = !incremental;
-        SweepEngine inc_engine(o);
+        SweepEngine inc_engine(SweepOptions{.threads = 1});
         const auto t0 = std::chrono::steady_clock::now();
         inc_engine.runStream(source, ordered);
         const auto t1 = std::chrono::steady_clock::now();
@@ -987,13 +1022,14 @@ writeBenchJson()
         return std::chrono::duration<double>(t1 - t0).count();
     };
     std::string full_bytes, inc_bytes;
-    time_grid_jsonl(false, nullptr); // warm-up
+    timeFullRebuild(inc_grid, inc_order, nullptr); // warm-up
     double full_seconds = 1e30, inc_seconds = 1e30;
     for (int rep = 0; rep < 3; ++rep) {
-        full_seconds = std::min(full_seconds,
-                                time_grid_jsonl(false, &full_bytes));
-        inc_seconds = std::min(inc_seconds,
-                               time_grid_jsonl(true, &inc_bytes));
+        full_seconds = std::min(
+            full_seconds,
+            timeFullRebuild(inc_grid, inc_order, &full_bytes));
+        inc_seconds =
+            std::min(inc_seconds, time_grid_jsonl(&inc_bytes));
     }
     if (inc_bytes != full_bytes) {
         std::fprintf(stderr, "error: incremental sweep output "
@@ -1145,8 +1181,8 @@ writeBenchJson()
     // 12th point, then the next column) — the `camj_sweep plan --mode
     // strided` shard order, where consecutive points revisit one
     // structural family at a time across the full rate axis. Two
-    // passes over the SAME order: a from-scratch Simulator (the
-    // byte-identity reference) and the compiled-point LRU evaluator,
+    // passes over the SAME order: the full-rebuild reference
+    // (runSerial) and the compiled-point LRU evaluator,
     // which must reproduce the reference bytes exactly. Always the
     // full 108-point grid, so the tracked numbers are comparable
     // across runs.
@@ -1161,20 +1197,6 @@ writeBenchJson()
     SimulationOptions strided_opts;
     strided_opts.checkMode = CheckMode::Report;
 
-    auto time_strided_reference = [&](std::string *bytes) {
-        const auto t0 = std::chrono::steady_clock::now();
-        Simulator sim(strided_opts);
-        std::string out;
-        size_t pos = 0;
-        for (size_t idx : strided_order) {
-            const spec::DesignSpec s = strided_grid.at(idx);
-            out += lineFor(pos++, s, sim.run(s));
-        }
-        const auto t1 = std::chrono::steady_clock::now();
-        if (bytes != nullptr)
-            *bytes = std::move(out);
-        return std::chrono::duration<double>(t1 - t0).count();
-    };
     auto time_strided_incremental = [&](std::string *bytes) {
         const auto t0 = std::chrono::steady_clock::now();
         IncrementalEvaluator inc(strided_opts);
@@ -1189,6 +1211,7 @@ writeBenchJson()
             out += lineFor(pos++, s,
                            hint ? inc.evaluate(s, *hint)
                                 : inc.evaluate(s));
+            out += '\n';
             last = idx;
         }
         const auto t1 = std::chrono::steady_clock::now();
@@ -1198,12 +1221,12 @@ writeBenchJson()
     };
 
     std::string strided_ref, lru_bytes;
-    time_strided_reference(nullptr); // warm-up
+    timeFullRebuild(strided_grid, strided_order, nullptr); // warm-up
     double strided_ref_seconds = 1e30, lru_seconds = 1e30;
     for (int rep = 0; rep < 2; ++rep) {
-        strided_ref_seconds =
-            std::min(strided_ref_seconds,
-                     time_strided_reference(&strided_ref));
+        strided_ref_seconds = std::min(
+            strided_ref_seconds,
+            timeFullRebuild(strided_grid, strided_order, &strided_ref));
         lru_seconds =
             std::min(lru_seconds, time_strided_incremental(&lru_bytes));
     }
@@ -1225,8 +1248,8 @@ writeBenchJson()
     doc.set("stridedSweep", std::move(strided));
 
     // Cached sweep: the on-disk outcome store end to end through the
-    // SweepEngine. A full-rebuild reference run fixes the expected
-    // bytes; a cold incremental run populates the store; a warm run
+    // SweepEngine. The full-rebuild reference (runSerial) fixes the
+    // expected bytes; a cold run populates the store; a warm run
     // re-answers every point from it. With --cache-dir the directory
     // persists across invocations and a cachedSweep.jsonl marker
     // written on first run is byte-compared on every later one — the
@@ -1234,16 +1257,13 @@ writeBenchJson()
     // twice. All runs must be byte-identical to the reference.
     const spec::SweepDocument cached_doc = spec::sampleDetectorStudy();
     const size_t n_cachedpts = cached_doc.grid.points();
-    auto time_cached = [&](bool incremental, const std::string &dir,
-                           std::string *bytes) {
+    auto time_cached = [&](const std::string &dir, std::string *bytes) {
         std::ostringstream out;
         spec::GridSpecSource source = cached_doc.source();
         JsonlSink lines(out);
         InOrderSink ordered(lines);
         SweepOptions o;
         o.threads = 1;
-        o.incremental = incremental;
-        o.reuseMaterializations = !incremental;
         o.cacheDir = dir;
         SweepEngine cached_engine(o);
         const auto t0 = std::chrono::steady_clock::now();
@@ -1254,18 +1274,16 @@ writeBenchJson()
         return std::chrono::duration<double>(t1 - t0).count();
     };
     std::string cached_ref;
-    const double cached_full_seconds =
-        time_cached(false, "", &cached_ref);
+    const double cached_full_seconds = timeFullRebuild(
+        cached_doc.source(), gridOrder(n_cachedpts), &cached_ref);
     const bool persistent_dir = !g_cache_dir.empty();
     const std::string cache_dir =
         persistent_dir ? g_cache_dir : "BENCH_cache";
     if (!persistent_dir)
         std::filesystem::remove_all(cache_dir); // guarantee a cold run
     std::string cold_bytes, warm_bytes;
-    const double cold_seconds =
-        time_cached(true, cache_dir, &cold_bytes);
-    const double warm_seconds =
-        time_cached(true, cache_dir, &warm_bytes);
+    const double cold_seconds = time_cached(cache_dir, &cold_bytes);
+    const double warm_seconds = time_cached(cache_dir, &warm_bytes);
     if (cold_bytes != cached_ref || warm_bytes != cached_ref) {
         std::fprintf(stderr, "error: cached sweep output differs from "
                      "the full-rebuild reference\n");

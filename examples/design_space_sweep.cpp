@@ -52,7 +52,6 @@ main()
     SweepOptions options;
     options.threads = 4;
     options.sim.withNoise = true;
-    options.incremental = true; // staged re-eval across fps deltas
     SweepEngine engine(options);
 
     std::printf("Design-space sweep: always-on detector, FPS x node "

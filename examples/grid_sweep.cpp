@@ -46,7 +46,6 @@ main()
 
     SweepOptions options;
     options.threads = 4;
-    options.incremental = true; // staged re-eval across grid deltas
     SweepEngine engine(options);
 
     TopKSink best(5);

@@ -69,9 +69,8 @@ main()
             "%s/shard-%zu.jsonl", work.string().c_str(),
             d.shard.shardIndex);
         std::ofstream out(out_path, std::ios::binary);
-        const StreamStats stats = runShard(
-            grid, d.shard,
-            SweepOptions{.threads = 1, .incremental = true}, out);
+        const StreamStats stats =
+            runShard(grid, d.shard, SweepOptions{.threads = 1}, out);
         std::printf("shard %zu/%zu: [%zu, %zu) -> %zu line(s)\n",
                     d.shard.shardIndex, d.shard.shardCount,
                     d.shard.begin, d.shard.end, stats.delivered);

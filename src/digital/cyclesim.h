@@ -192,13 +192,6 @@ class CycleSim
      *  @throws ConfigError on a bad index or rate. */
     void setSourceRate(int idx, double words_per_cycle);
 
-    /** The topologies are identical (memories, sources, units). */
-    bool sameTopology(const CycleSim &o) const
-    {
-        return mems_ == o.mems_ && sources_ == o.sources_ &&
-               units_ == o.units_;
-    }
-
     /**
      * Simulate one frame.
      *

@@ -301,7 +301,7 @@ IncrementalEvaluator::fullBuild(const spec::DesignSpec &spec,
     std::optional<Design> design;
     EvalPipeline pipeline;
     try {
-        design.emplace(spec.materialize(&cache_));
+        design.emplace(spec.materialize());
         EnergyReport report = pipeline.runAll(*design);
         stats_.stagesRun += static_cast<size_t>(pipeline.stagesEntered());
         SimulationOutcome out = finishOutcome(options_, report);
@@ -348,7 +348,7 @@ IncrementalEvaluator::incrementalRun(const spec::DesignSpec &spec,
         std::optional<Design> design;
         if (impact.rematerialize) {
             ++stats_.rematerializations;
-            design.emplace(spec.materialize(&cache_));
+            design.emplace(spec.materialize());
         } else {
             // Scalar patch. The full path validates the spec inside
             // materialize(); validating here first keeps a bad value's
@@ -395,8 +395,8 @@ namespace
 {
 
 /** Does re-running from @p a cost less than from @p b? Later first
- *  stage = shorter suffix; a re-materialization is nearly free (the
- *  MaterializeCache absorbs it) but breaks ties toward the patch. */
+ *  stage = shorter suffix; a re-materialization is cheap next to a
+ *  stage but breaks ties toward the patch. */
 bool
 cheaperBase(const FieldImpact &a, const FieldImpact &b)
 {

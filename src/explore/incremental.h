@@ -14,10 +14,10 @@
  * suffix. Scalar fields (fps, digitalClock, name) are patched onto
  * a copy of the cached Design without re-materializing at all;
  * parametric fields (a memory's node, an analog component's
- * capacitance) force a re-materialization (cheap through the
- * MaterializeCache) but keep every stage before their first dirty
- * stage cached; structural changes (components added/removed/renamed,
- * kinds changed, unknown fields) fall back to a full rebuild.
+ * capacitance) force a re-materialization (cheap next to the stages)
+ * but keep every stage before their first dirty stage cached;
+ * structural changes (components added/removed/renamed, kinds
+ * changed, unknown fields) fall back to a full rebuild.
  * Evaluation always runs on a SCRATCH copy of the base, so an
  * infeasible point never invalidates the compiled state it was
  * diffed against. With a cache directory configured, finished
@@ -58,9 +58,9 @@ namespace camj
 /** What one changed spec field forces the evaluator to redo. */
 struct FieldImpact
 {
-    /** Re-lower the spec onto a fresh Design (through the evaluator's
-     *  MaterializeCache) before running the dirty stages. When false
-     *  the field is scalar-patchable (Design::setFps and friends). */
+    /** Re-lower the spec onto a fresh Design before running the
+     *  dirty stages. When false the field is scalar-patchable
+     *  (Design::setFps and friends). */
     bool rematerialize = false;
 
     /** Earliest pipeline stage whose inputs the field feeds; that
@@ -171,9 +171,9 @@ struct IncrementalStats
  * tests/cache_test).
  *
  * NOT thread-safe: give each sweep worker its own evaluator (the
- * SweepEngine does, under SweepOptions::incremental). Distinct
- * evaluators MAY share one cache directory, concurrently and across
- * processes (the on-disk store is append-only and self-verifying).
+ * SweepEngine does). Distinct evaluators MAY share one cache
+ * directory, concurrently and across processes (the on-disk store is
+ * append-only and self-verifying).
  */
 class IncrementalEvaluator
 {
@@ -242,7 +242,6 @@ class IncrementalEvaluator
     SimulationOptions options_;
     CompiledDesignLru lru_;
     std::optional<OutcomeStore> store_;
-    spec::MaterializeCache cache_;
     IncrementalStats stats_;
     /** Unique LRU entry id of the entry whose document equals the
      *  PREVIOUSLY evaluated spec — the base changed-path hints are

@@ -70,13 +70,12 @@ Simulator::run(const Design &design) const
 }
 
 SimulationOutcome
-Simulator::run(const spec::DesignSpec &spec,
-               spec::MaterializeCache *cache) const
+Simulator::run(const spec::DesignSpec &spec) const
 {
     CycleSimStats stats;
     try {
         SimulationOutcome out = finishOutcome(
-            options_, spec.materialize(cache).simulate(&stats));
+            options_, spec.materialize().simulate(&stats));
         out.simStats = stats;
         return out;
     } catch (const ConfigError &e) {

@@ -113,12 +113,10 @@ class Simulator
      */
     SimulationOutcome run(const Design &design) const;
 
-    /** Materialize and evaluate a spec. Materialization errors obey
-     *  the same CheckMode as simulation errors. @p cache optionally
-     *  reuses instantiated components across spec deltas (results
-     *  are bit-identical either way). */
-    SimulationOutcome run(const spec::DesignSpec &spec,
-                          spec::MaterializeCache *cache = nullptr) const;
+    /** Materialize and evaluate a spec: the full-rebuild reference
+     *  every incremental path is pinned against. Materialization
+     *  errors obey the same CheckMode as simulation errors. */
+    SimulationOutcome run(const spec::DesignSpec &spec) const;
 
     /** Classic strict single-report entry point. @throws ConfigError. */
     EnergyReport simulate(const Design &design) const;

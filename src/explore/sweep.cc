@@ -41,11 +41,14 @@ SweepEngine::SweepEngine(SweepOptions options)
     if (options_.threads < 0)
         fatal("SweepEngine: negative thread count %d",
               options_.threads);
-    // The outcome store lives in the incremental evaluators; a
-    // directory the engine would never open is a caller mistake.
-    if (!options_.cacheDir.empty() && !options_.incremental)
-        fatal("SweepEngine: cacheDir '%s' needs incremental "
-              "evaluation", options_.cacheDir.c_str());
+    if (!options_.incremental || options_.reuseMaterializations)
+        fatal("SweepEngine: incremental = false and "
+              "reuseMaterializations = true are retired evaluation "
+              "modes; every sweep is incremental, and runSerial is the "
+              "full-rebuild reference");
+    // Invalid simulation options (frames < 1, ...) throw here, not
+    // from every worker.
+    Simulator{options_.sim};
     // Infeasibility is data inside a sweep.
     options_.sim.checkMode = CheckMode::Report;
 }
@@ -71,20 +74,26 @@ SweepEngine::effectiveThreads(size_t jobs) const
                       std::thread::hardware_concurrency());
 }
 
+namespace
+{
+
+/**
+ * One point's SweepResult from the outcome @p evaluate returns.
+ * ConfigErrors are folded into the outcome by CheckMode::Report.
+ * Anything else (InternalError, bad_alloc) is a CamJ bug; capture it
+ * identically on the serial reference and the workers so the same
+ * batch can never behave differently across paths or thread counts.
+ */
+template <typename Evaluate>
 SweepResult
-SweepEngine::evaluateOne(const spec::DesignSpec &spec, size_t index,
-                         spec::MaterializeCache *cache) const
+evaluatePoint(const spec::DesignSpec &spec, size_t index,
+              Evaluate &&evaluate)
 {
     SweepResult r;
     r.index = index;
     r.designName = spec.name;
-    // ConfigErrors are folded into the outcome by CheckMode::Report.
-    // Anything else (InternalError, bad_alloc) is a CamJ bug; capture
-    // it identically on the serial and parallel paths so the same
-    // batch can never behave differently across thread counts.
     try {
-        Simulator sim(options_.sim);
-        SimulationOutcome out = sim.run(spec, cache);
+        SimulationOutcome out = evaluate();
         r.feasible = out.feasible;
         r.error = std::move(out.error);
         r.ruleCode = std::move(out.ruleCode);
@@ -100,35 +109,7 @@ SweepEngine::evaluateOne(const spec::DesignSpec &spec, size_t index,
     return r;
 }
 
-SweepResult
-SweepEngine::evaluateIncremental(
-    const spec::DesignSpec &spec, size_t index,
-    IncrementalEvaluator &evaluator,
-    const std::optional<std::vector<std::string>> &changed) const
-{
-    SweepResult r;
-    r.index = index;
-    r.designName = spec.name;
-    // Same exception discipline as evaluateOne: infeasibility is
-    // data, anything else is captured, never a thread unwind.
-    try {
-        SimulationOutcome out =
-            changed ? evaluator.evaluate(spec, *changed)
-                    : evaluator.evaluate(spec);
-        r.feasible = out.feasible;
-        r.error = std::move(out.error);
-        r.ruleCode = std::move(out.ruleCode);
-        r.report = std::move(out.report);
-        r.frames = out.frames;
-        r.snrPenaltyDb = out.snrPenaltyDb;
-        r.simStats = out.simStats;
-    } catch (const std::exception &e) {
-        r.feasible = false;
-        r.error = std::string("internal error: ") + e.what();
-        r.ruleCode = "CAMJ-D003";
-    }
-    return r;
-}
+} // namespace
 
 StreamStats
 SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
@@ -193,18 +174,11 @@ SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
     };
 
     auto worker = [&] {
-        // Each worker owns its cache: no lock contention, and reuse
-        // still catches the common case of consecutive points along
-        // one grid axis sharing most components.
-        spec::MaterializeCache cache;
-        spec::MaterializeCache *cache_ptr =
-            options_.reuseMaterializations ? &cache : nullptr;
         CycleSimStats local_sim;
-        // Under SweepOptions::incremental each worker instead owns an
-        // IncrementalEvaluator: consecutive pulls of THIS worker diff
-        // against its last compiled point, with the source asked for
-        // the changed paths first (free for grids) before falling
-        // back to a JSON diff inside the evaluator.
+        // Each worker owns an IncrementalEvaluator: consecutive pulls
+        // of THIS worker diff against its compiled points, with the
+        // source asked for the changed paths first (free for grids)
+        // before falling back to a JSON diff inside the evaluator.
         std::optional<IncrementalEvaluator> inc;
         std::optional<size_t> last_index;
         // Anything escaping the source or the sink (a generator
@@ -214,9 +188,8 @@ SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
         try {
             // Inside the try: an unusable cache directory throws
             // from the evaluator constructor.
-            if (options_.incremental)
-                inc.emplace(options_.sim, options_.cacheEntries,
-                            options_.cacheDir);
+            inc.emplace(options_.sim, options_.cacheEntries,
+                        options_.cacheDir);
             while (!stop.load(std::memory_order_relaxed)) {
                 if (cancel != nullptr && cancel->cancelled()) {
                     stop.store(true, std::memory_order_relaxed);
@@ -226,22 +199,16 @@ SweepEngine::runStream(spec::SpecSource &source, ResultSink &sink,
                 std::optional<spec::DesignSpec> spec = pull(index);
                 if (!spec)
                     break;
-                if (inc) {
-                    std::optional<std::vector<std::string>> changed;
-                    if (last_index)
-                        changed =
-                            source.changedPaths(*last_index, index);
-                    last_index = index;
-                    SweepResult result = evaluateIncremental(
-                        *spec, index, *inc, changed);
-                    local_sim += result.simStats;
-                    deliver(std::move(result));
-                } else {
-                    SweepResult result =
-                        evaluateOne(*spec, index, cache_ptr);
-                    local_sim += result.simStats;
-                    deliver(std::move(result));
-                }
+                std::optional<std::vector<std::string>> changed;
+                if (last_index)
+                    changed = source.changedPaths(*last_index, index);
+                last_index = index;
+                SweepResult result = evaluatePoint(*spec, index, [&] {
+                    return changed ? inc->evaluate(*spec, *changed)
+                                   : inc->evaluate(*spec);
+                });
+                local_sim += result.simStats;
+                deliver(std::move(result));
             }
         } catch (...) {
             std::lock_guard<std::mutex> lock(error_mutex);
@@ -327,9 +294,11 @@ class RefVectorSource : public spec::SpecSource
 std::vector<SweepResult>
 SweepEngine::runSerial(const std::vector<spec::DesignSpec> &specs) const
 {
+    const Simulator sim(options_.sim);
     std::vector<SweepResult> results(specs.size());
     for (size_t i = 0; i < specs.size(); ++i)
-        results[i] = evaluateOne(specs[i], i, nullptr);
+        results[i] = evaluatePoint(specs[i], i,
+                                   [&] { return sim.run(specs[i]); });
     return results;
 }
 

@@ -3,17 +3,19 @@
  * SweepEngine: the Fig. 4 exploration feedback loop as a streaming
  * pipeline. A sweep pulls DesignSpecs from a SpecSource (a vector, a
  * lazy SweepGrid expansion, a generator), evaluates each point on a
- * std::thread pool (materialize -> simulate), and pushes structured
- * SweepResults into a ResultSink as they complete — no ConfigError
- * ever escapes a sweep, results stream instead of accumulating, and
- * a sink (or a CancelToken) can stop the sweep early.
+ * std::thread pool (each worker re-runs only the stages a point's
+ * delta dirties), and pushes structured SweepResults into a
+ * ResultSink as they complete — no ConfigError ever escapes a sweep,
+ * results stream instead of accumulating, and a sink (or a
+ * CancelToken) can stop the sweep early.
  *
  * Specs are value types and the engine is stateless; the source is
  * pulled and the sink is fed under per-side locks, so neither needs
- * to be thread-safe. Evaluation itself shares nothing, which keeps
- * every result bit-identical to a serial loop over the same specs —
- * the classic run(vector) API survives as a thin wrapper (ref-source
- * + CollectSink) over the streaming core.
+ * to be thread-safe. Workers share nothing but the optional on-disk
+ * outcome store, which keeps every result bit-identical to runSerial,
+ * the full rebuild of each spec — the classic run(vector) API
+ * survives as a thin wrapper (ref-source + CollectSink) over the
+ * streaming core.
  */
 
 #ifndef CAMJ_EXPLORE_SWEEP_H
@@ -35,7 +37,12 @@
 namespace camj
 {
 
-/** Options of one sweep. */
+/** Options of one sweep. Every sweep evaluates incrementally: each
+ *  worker owns an IncrementalEvaluator (explore/incremental.h) that
+ *  diffs consecutive points — for free when the source implements
+ *  changedPaths(), e.g. grid sweeps — and re-runs only the dirty stage
+ *  suffix. SweepEngine::runSerial is the full-rebuild reference it is
+ *  pinned against (tests/incremental_test.cc). */
 struct SweepOptions
 {
     /** Worker threads; 0 = std::thread::hardware_concurrency(). */
@@ -44,27 +51,20 @@ struct SweepOptions
      *  Report inside the sweep: infeasibility is a result, not an
      *  exception. */
     SimulationOptions sim;
-    /** Give each worker a MaterializeCache, reusing instantiated
-     *  analog components across spec deltas (e.g. along one grid
-     *  axis). Results are bit-identical either way. */
-    bool reuseMaterializations = false;
-    /** Give each worker an IncrementalEvaluator (the CompiledDesign
-     *  IR of explore/incremental.h): consecutive points a worker
-     *  pulls are diffed — for free when the source implements
-     *  changedPaths(), e.g. grid sweeps — and only the dirty stage
-     *  suffix of the evaluation pipeline re-runs. Results are
-     *  bit-identical to full rebuilds (pinned by
-     *  tests/incremental_test.cc); subsumes reuseMaterializations. */
-    bool incremental = false;
-    /** Per-worker compiled-point LRU capacity under incremental
-     *  (explore/cache.h): how many structural families a worker keeps
-     *  compiled at once. */
-    size_t cacheEntries = IncrementalEvaluator::kDefaultCacheEntries;
     /** When non-empty, the content-addressed on-disk outcome store
      *  directory, shared across workers, processes, and repeated
-     *  runs (created if needed). Needs incremental: the SweepEngine
-     *  constructor throws a D003 ConfigError otherwise. */
+     *  runs (created if needed). */
     std::string cacheDir;
+
+    /** Per-worker compiled-point LRU capacity (explore/cache.h): how
+     *  many structural families a worker keeps compiled at once. */
+    static constexpr size_t cacheEntries =
+        IncrementalEvaluator::kDefaultCacheEntries;
+    /** Retired evaluation-mode switches, kept so existing assignments
+     *  still compile. Each has one legal value; the SweepEngine
+     *  constructor throws a D003 ConfigError on the other. */
+    bool incremental = true;
+    bool reuseMaterializations = false;
 };
 
 /**
@@ -108,7 +108,8 @@ struct StreamStats
 class SweepEngine
 {
   public:
-    /** @throws ConfigError on negative thread counts. */
+    /** @throws ConfigError on negative thread counts, invalid
+     *  simulation options, or a retired evaluation-mode value. */
     explicit SweepEngine(SweepOptions options = {});
 
     const SweepOptions &options() const { return options_; }
@@ -148,20 +149,15 @@ class SweepEngine
     std::vector<SweepResult> run(
         const std::vector<spec::DesignSpec> &specs) const;
 
-    /** Single-threaded reference implementation (identical results;
-     *  used for verification and speedup baselines). */
+    /** The full-rebuild reference: one fresh Simulator::run per
+     *  spec, in input order on the calling thread. Results are
+     *  identical to run(); tests and speedup baselines compare
+     *  against it. */
     std::vector<SweepResult> runSerial(
         const std::vector<spec::DesignSpec> &specs) const;
 
   private:
     SweepOptions options_;
-
-    SweepResult evaluateOne(const spec::DesignSpec &spec, size_t index,
-                            spec::MaterializeCache *cache) const;
-    SweepResult evaluateIncremental(
-        const spec::DesignSpec &spec, size_t index,
-        IncrementalEvaluator &evaluator,
-        const std::optional<std::vector<std::string>> &changed) const;
 };
 
 /** Render the feasible rows as a breakdown table; infeasible rows

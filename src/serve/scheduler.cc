@@ -307,7 +307,6 @@ Scheduler::runJob(std::shared_ptr<JobRecord> job,
                 SweepOptions options;
                 options.threads = threads;
                 options.sim.frames = frames;
-                options.incremental = true;
                 options.cacheDir = cache_dir;
                 // Fault injection: die after writing the first half
                 // of the shard, leaving a partial attempt file.

@@ -666,7 +666,7 @@ DesignSpec::validate() const
 // --------------------------------------------------------- materialize
 
 Design
-DesignSpec::materialize(MaterializeCache *cache) const
+DesignSpec::materialize() const
 {
     validate();
 
@@ -692,11 +692,8 @@ DesignSpec::materialize(MaterializeCache *cache) const
         p.inputShape = a.inputShape;
         p.outputShape = a.outputShape;
         p.componentArea = a.componentArea;
-        d.addAnalogArray(
-            AnalogArray(p, cache != nullptr
-                               ? cache->component(a.component)
-                               : a.component.instantiate()),
-            a.role);
+        d.addAnalogArray(AnalogArray(p, a.component.instantiate()),
+                         a.role);
     }
     for (const MemorySpec &m : memories)
         d.addMemory(m.instantiate());
@@ -1261,41 +1258,6 @@ DesignSpec
 fromJson(const std::string &text)
 {
     return fromJsonValue(Value::parse(text));
-}
-
-// ------------------------------------------------------ delta caching
-
-const AComponent &
-MaterializeCache::component(const ComponentSpec &component)
-{
-    // The serialized parameter tree is a complete, deterministic key:
-    // two specs with equal trees instantiate bit-identical components.
-    // Its structural hash buckets the lookup; full tree equality
-    // verifies each candidate, so a collision costs one comparison,
-    // never a wrong component.
-    json::Value params = componentToJson(component);
-    std::vector<CachedComponent> &bucket =
-        components_[params.hash()];
-    for (const CachedComponent &entry : bucket) {
-        if (entry.params == params) {
-            ++hits_;
-            return entry.component;
-        }
-    }
-    ++misses_;
-    bucket.push_back(
-        CachedComponent{std::move(params), component.instantiate()});
-    ++count_;
-    return bucket.back().component;
-}
-
-void
-MaterializeCache::clear()
-{
-    components_.clear();
-    count_ = 0;
-    hits_ = 0;
-    misses_ = 0;
 }
 
 DesignSpec

@@ -27,7 +27,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -265,8 +264,6 @@ struct CommSpec
     Energy energyPerByte = 0.0;
 };
 
-class MaterializeCache;
-
 /** A complete, serializable design point. */
 struct DesignSpec
 {
@@ -301,57 +298,9 @@ struct DesignSpec
     /**
      * Lower onto the imperative Design engine.
      *
-     * @param cache Optional materialization cache: analog components
-     *        whose serialized parameters match a previously built one
-     *        are reused instead of re-instantiated. Results are
-     *        bit-identical either way (instantiation is a pure
-     *        function of the parameters); the cache only saves the
-     *        rebuild cost across spec deltas, e.g. along one grid
-     *        axis of a sweep.
-     *
      * @throws ConfigError on any invalid parameter or reference.
      */
-    Design materialize(MaterializeCache *cache = nullptr) const;
-};
-
-// ------------------------------------------------------ delta caching
-
-/**
- * Reusable store of instantiated analog components, keyed by the
- * component's serialized parameter TREE — a structural hash buckets
- * the lookup, and a full tree equality verifies every candidate, so
- * a hash collision can never hand back the wrong component. Sweeps
- * over spec deltas (one grid axis changing at a time) rebuild only
- * the sub-structures the delta touches; unchanged components are
- * shared (AComponents are cheap to copy and their cells are
- * immutable).
- *
- * NOT thread-safe: give each sweep worker its own cache.
- */
-class MaterializeCache
-{
-  public:
-    /** Instantiate @p component, or reuse an identical earlier one.
-     *  @throws ConfigError on invalid parameters (never cached). */
-    const AComponent &component(const ComponentSpec &component);
-
-    size_t hits() const { return hits_; }
-    size_t misses() const { return misses_; }
-    size_t size() const { return count_; }
-    void clear();
-
-  private:
-    struct CachedComponent
-    {
-        /** The serialized parameter tree (the verified key). */
-        json::Value params;
-        AComponent component;
-    };
-    std::unordered_map<uint64_t, std::vector<CachedComponent>>
-        components_;
-    size_t count_ = 0;
-    size_t hits_ = 0;
-    size_t misses_ = 0;
+    Design materialize() const;
 };
 
 // ---------------------------------------------------------- diagnostics

@@ -55,7 +55,10 @@ usage(std::FILE *to)
 "      --outdir DIR                where descriptors go (default .)\n"
 "      --prefix NAME               file prefix (default: spec name)\n"
 "  camj_sweep run <sweep-or-shard.json> --out FILE [options]\n"
-"      evaluate one shard, writing its JSONL result file\n"
+"      evaluate one shard, writing its JSONL result file; each\n"
+"      worker re-runs only the pipeline stages a point's change\n"
+"      from its compiled neighbours dirties (results are identical\n"
+"      to evaluating every point from scratch)\n"
 "      --shard k/N                 shard a plain sweep document inline\n"
 "      --mode contiguous|strided   with --shard (default contiguous)\n"
 "      --threads T                 worker threads (default: all cores)\n"
@@ -64,10 +67,6 @@ usage(std::FILE *to)
 "      --cache-dir DIR             content-addressed outcome cache,\n"
 "                                  shared across shards and re-runs\n"
 "                                  of the base spec\n"
-"      --full-rebuild              evaluate every point from scratch\n"
-"                                  instead of the incremental staged\n"
-"                                  pipeline (results are identical;\n"
-"                                  not with --cache-dir)\n"
 "      --verbose                   also print cycle-sim execution\n"
 "                                  stats (cycles simulated, stall\n"
 "                                  checks the certificate answered)\n"
@@ -195,7 +194,7 @@ cmdRun(int argc, char **argv)
     std::string input, out_path, shard_arg, cache_dir;
     spec::ShardMode mode = spec::ShardMode::Contiguous;
     int threads = 0, frames = 1;
-    bool incremental = true, lint = true, verbose = false;
+    bool lint = true, verbose = false;
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--out")
@@ -206,8 +205,6 @@ cmdRun(int argc, char **argv)
             cache_dir = flagValue(argc, argv, i);
         else if (arg == "--mode")
             mode = spec::shardModeFromName(flagValue(argc, argv, i));
-        else if (arg == "--full-rebuild")
-            incremental = false;
         else if (arg == "--no-lint")
             lint = false;
         else if (arg == "--verbose")
@@ -230,12 +227,6 @@ cmdRun(int argc, char **argv)
         std::fprintf(stderr,
                      "error: run wants <sweep-or-shard.json> and "
                      "--out FILE\n");
-        return usage(stderr);
-    }
-    if (!incremental && !cache_dir.empty()) {
-        // The outcome store lives in the incremental evaluators.
-        std::fprintf(stderr, "error: --cache-dir needs the incremental "
-                     "pipeline; drop --full-rebuild\n");
         return usage(stderr);
     }
 
@@ -283,10 +274,6 @@ cmdRun(int argc, char **argv)
     SweepOptions options;
     options.threads = threads;
     options.sim.frames = frames;
-    // Grid deltas ride the incremental staged pipeline by default
-    // (bit-identical to full rebuilds; --full-rebuild opts out).
-    options.incremental = incremental;
-    options.reuseMaterializations = !incremental;
     // Shard processes re-running (or re-trying) overlapping index
     // ranges share finished outcomes through the on-disk store.
     options.cacheDir = cache_dir;

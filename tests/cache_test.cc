@@ -566,7 +566,6 @@ TEST(SweepCache, SharedCacheDirMakesTheSecondRunByteIdentical)
     ScopedCacheDir dir("sweep");
     SweepOptions options;
     options.threads = 2;
-    options.incremental = true;
     options.cacheDir = dir.path();
     SweepEngine engine(options);
 
@@ -603,7 +602,6 @@ TEST(SweepCache, UnusableCacheDirSurfacesOnTheCallingThread)
 
     SweepOptions options;
     options.threads = 2;
-    options.incremental = true;
     options.cacheDir = file + "/sub";
     SweepEngine engine(options);
     const std::vector<spec::DesignSpec> specs = {

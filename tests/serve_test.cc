@@ -35,6 +35,7 @@
 #include "serve/scheduler.h"
 #include "serve/server.h"
 #include "spec/samples.h"
+#include "reference_fixture.h"
 
 namespace camj
 {
@@ -79,17 +80,12 @@ smallStudy()
     return doc;
 }
 
-/** The reference bytes: a single-process in-order run. */
+/** The reference bytes: a full rebuild of every grid point in one
+ *  process (runSerial), serialized as a shard file. */
 std::string
 singleProcessJsonl(const spec::SweepDocument &doc)
 {
-    std::ostringstream out;
-    spec::GridSpecSource source = doc.source();
-    JsonlSink lines(out);
-    InOrderSink ordered(lines);
-    SweepEngine engine(SweepOptions{.threads = 2});
-    engine.runStream(source, ordered);
-    return out.str();
+    return testfix::fullRebuildJsonl(doc.source());
 }
 
 /** A Server on an ephemeral loopback port with serve() running on

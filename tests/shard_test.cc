@@ -28,6 +28,7 @@
 #include "explore/sweep.h"
 #include "spec/samples.h"
 #include "spec/shard.h"
+#include "reference_fixture.h"
 
 namespace camj
 {
@@ -91,18 +92,12 @@ smallStudy()
     return doc;
 }
 
-/** The reference bytes: a single-process in-order run over the whole
- *  grid through InOrderSink -> JsonlSink. */
+/** The reference bytes: a full rebuild of every grid point in one
+ *  process (runSerial), serialized as a shard file. */
 std::string
 singleProcessJsonl(const spec::SweepDocument &doc)
 {
-    std::ostringstream out;
-    spec::GridSpecSource source = doc.source();
-    JsonlSink lines(out);
-    InOrderSink ordered(lines);
-    SweepEngine engine(SweepOptions{.threads = 2});
-    engine.runStream(source, ordered);
-    return out.str();
+    return testfix::fullRebuildJsonl(doc.source());
 }
 
 /** One shard's JSONL bytes, exactly as `camj_sweep run` writes them:
@@ -766,23 +761,21 @@ TEST(CamjSweepCli, ResumePlanCoversExactlyTheHoleAndMergeCompletes)
               singleProcessJsonl(doc));
 }
 
-TEST(CamjSweepCli, FullRebuildFlagMatchesIncrementalDefault)
+TEST(CamjSweepCli, RunMatchesTheFullRebuildReference)
 {
-    // `run` rides the incremental pipeline by default; --full-rebuild
-    // must produce byte-identical output (the whole point).
+    // `run` evaluates incrementally; its bytes must equal a full
+    // rebuild of every point (runSerial), one and many threads alike.
     const fs::path dir = scratchDir("cli_full_rebuild");
     const spec::SweepDocument doc = smallStudy();
     writeFile(dir / "study.json", spec::toJson(doc));
-    ASSERT_EQ(runCli("run " + (dir / "study.json").string() +
-                     " --out " + (dir / "inc.jsonl").string()),
-              0);
-    ASSERT_EQ(runCli("run " + (dir / "study.json").string() +
-                     " --full-rebuild --out " +
-                     (dir / "full.jsonl").string()),
-              0);
-    EXPECT_EQ(readFile(dir / "inc.jsonl"),
-              readFile(dir / "full.jsonl"));
-    EXPECT_EQ(readFile(dir / "inc.jsonl"), singleProcessJsonl(doc));
+    for (const char *threads : {"1", "3"}) {
+        const fs::path out = dir / (std::string("t") + threads + ".jsonl");
+        ASSERT_EQ(runCli("run " + (dir / "study.json").string() +
+                         " --threads " + threads + " --out " +
+                         out.string()),
+                  0);
+        EXPECT_EQ(readFile(out), singleProcessJsonl(doc)) << threads;
+    }
 }
 
 /** WEXITSTATUS of the CLI with stdout+stderr silenced; -1 on an
@@ -813,22 +806,10 @@ TEST(CamjSweepCli, ArgumentErrorsExitTwoWithUsage)
     EXPECT_EQ(cliExit("run " + study + " --shard 5/2"), 2);
     EXPECT_EQ(cliExit("run " + study + " --shard 0/0"), 2);
     EXPECT_EQ(cliExit("run " + study + " --shard nonsense"), 2);
-}
-
-TEST(CamjSweepCli, FullRebuildWithCacheDirIsAUsageError)
-{
-    // The outcome store lives in the incremental evaluators: the pair
-    // is refused before anything runs or any directory is created.
-    const fs::path dir = scratchDir("cli_full_rebuild_cache");
-    writeFile(dir / "study.json", spec::toJson(smallStudy()));
-    const fs::path cache = dir / "store";
-    const fs::path out = dir / "out.jsonl";
-    EXPECT_EQ(cliExit("run " + (dir / "study.json").string() +
-                      " --full-rebuild --cache-dir " + cache.string() +
-                      " --out " + out.string()),
+    // The retired evaluation-mode flag is an unknown argument.
+    EXPECT_EQ(cliExit("run " + study + " --full-rebuild --out " +
+                      (dir / "out.jsonl").string()),
               2);
-    EXPECT_FALSE(fs::exists(cache));
-    EXPECT_FALSE(fs::exists(out));
 }
 
 TEST(CamjSweepCli, LintSubcommandReportsFindings)

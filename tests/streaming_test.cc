@@ -2,8 +2,8 @@
  * @file
  * Tests for the streaming sweep pipeline: SpecSources (vector,
  * generator, lazy SweepGrid expansion), ResultSinks (collect,
- * callback, in-order, top-K, JSONL), cooperative cancellation, the
- * spec-delta materialization cache, and the thread-count policy.
+ * callback, in-order, top-K, JSONL), cooperative cancellation, and
+ * the thread-count policy.
  *
  * The load-bearing guarantees: an in-order streaming sweep is
  * bit-identical to runSerial() over the same specs, cancellation
@@ -413,7 +413,7 @@ TEST(SweepGrid, GridStreamMatchesBatchOverExpandedSpecs)
     engine.runStream(source, sink);
 
     std::vector<SweepResult> batch =
-        engine.run(spec::expandGrid(base, detectorGrid()));
+        engine.runSerial(spec::expandGrid(base, detectorGrid()));
     expectSameResults(sink.results(), batch);
 }
 
@@ -552,7 +552,7 @@ TEST(StreamingSweep, TopKSinkAgreesWithSortAfterCollect)
     TopKSink topk(k);
     engine.runStream(source, topk);
 
-    std::vector<SweepResult> all = engine.run(specs);
+    std::vector<SweepResult> all = engine.runSerial(specs);
     std::vector<SweepResult> expect;
     for (const SweepResult &r : all) {
         if (r.feasible)
@@ -622,33 +622,6 @@ TEST(StreamingSweep, InOrderSinkReordersCompletions)
     EXPECT_TRUE(inorder.accept(result(1)));
     inorder.finish();
     EXPECT_EQ(seen, (std::vector<size_t>{0, 1, 2}));
-}
-
-// ------------------------------------------------ materialization cache
-
-TEST(MaterializeCache, ReuseIsBitIdenticalAndActuallyHits)
-{
-    std::vector<spec::DesignSpec> specs = spec::sampleDetectorGrid(
-        {65}, {1.0, 15.0, 30.0, 60.0}); // same components, fps deltas
-
-    SweepOptions plain{.threads = 1};
-    SweepOptions cached{.threads = 1, .reuseMaterializations = true};
-    expectSameResults(SweepEngine(cached).run(specs),
-                      SweepEngine(plain).run(specs));
-
-    spec::MaterializeCache cache;
-    for (const spec::DesignSpec &s : specs) {
-        for (const spec::AnalogArraySpec &a : s.analogArrays)
-            cache.component(a.component);
-    }
-    // 4 specs x 2 arrays, but only 2 distinct components: the fps
-    // delta leaves the analog chain untouched.
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.misses(), 2u);
-    EXPECT_EQ(cache.hits(), 6u);
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.hits(), 0u);
 }
 
 // ------------------------------------------------- thread-count policy

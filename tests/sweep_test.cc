@@ -106,9 +106,8 @@ TEST(SweepEngine, ParallelMatchesSerialBitExactly)
 {
     std::vector<spec::DesignSpec> specs = sweepBatch();
 
-    SweepEngine serial_engine(SweepOptions{.threads = 1});
     SweepEngine parallel_engine(SweepOptions{.threads = 4});
-    std::vector<SweepResult> serial = serial_engine.run(specs);
+    std::vector<SweepResult> serial = parallel_engine.runSerial(specs);
     std::vector<SweepResult> parallel = parallel_engine.run(specs);
 
     ASSERT_EQ(serial.size(), specs.size());
@@ -174,20 +173,30 @@ TEST(SweepEngine, EmptySweepAndThreadClamping)
     EXPECT_EQ(engine.effectiveThreads(3), 3);
     EXPECT_EQ(engine.effectiveThreads(100), 16);
     EXPECT_THROW(SweepEngine(SweepOptions{.threads = -1}), ConfigError);
+    // Invalid simulation options fail at construction, not per point.
+    EXPECT_THROW(SweepEngine(SweepOptions{.sim = {.frames = 0}}),
+                 ConfigError);
 }
 
-TEST(SweepEngine, CacheDirWithoutIncrementalIsApiMisuse)
+TEST(SweepEngine, RetiredEvaluationModesAreApiMisuse)
 {
-    // Only the incremental evaluators open the outcome store; a
-    // directory the engine would silently ignore is refused.
-    try {
-        SweepEngine engine(SweepOptions{.cacheDir = "unused-store"});
-        ADD_FAILURE() << "cacheDir without incremental was accepted";
-    } catch (const ConfigError &e) {
-        EXPECT_EQ(e.code(), RuleCode::D003);
+    // Every sweep is incremental; the retired switches keep one legal
+    // value each and the other is refused with D003.
+    SweepOptions full_rebuild;
+    full_rebuild.incremental = false;
+    SweepOptions reuse;
+    reuse.reuseMaterializations = true;
+    for (const SweepOptions &retired : {full_rebuild, reuse}) {
+        try {
+            SweepEngine engine(retired);
+            ADD_FAILURE() << "a retired evaluation mode was accepted";
+        } catch (const ConfigError &e) {
+            EXPECT_EQ(e.code(), RuleCode::D003);
+        }
     }
-    EXPECT_NO_THROW(SweepEngine(
-        SweepOptions{.incremental = true, .cacheDir = "unused-store"}));
+    // The outcome store needs no other option.
+    EXPECT_NO_THROW(
+        SweepEngine(SweepOptions{.cacheDir = "unused-store"}));
 }
 
 TEST(SweepEngine, FrameCountFlowsIntoSweepResults)
@@ -228,9 +237,8 @@ TEST(SweepEngine, UsecaseSpecBatchParallelMatchesSerial)
     std::vector<spec::DesignSpec> specs = allPaperStudySpecs();
     ASSERT_EQ(specs.size(), 27u);
 
-    SweepEngine serial_engine(SweepOptions{.threads = 1});
     SweepEngine parallel_engine(SweepOptions{.threads = 4});
-    std::vector<SweepResult> serial = serial_engine.run(specs);
+    std::vector<SweepResult> serial = parallel_engine.runSerial(specs);
     std::vector<SweepResult> parallel = parallel_engine.run(specs);
 
     ASSERT_EQ(serial.size(), specs.size());
